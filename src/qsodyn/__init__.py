@@ -69,6 +69,7 @@ from .dynamics import (
     omega_limit,
     periodic2_exact,
     region_classify,
+    regime,
     scalar_map,
     scalar_map_report,
     slice_cycle_heights,
@@ -91,7 +92,7 @@ __all__ = [
     "conjugate", "are_conjugate", "coefficient_distance", "classify_catalog",
     "classes_fixed_parameter", "REFERENCE_CLASSES", "matches_reference",
     "partition_stabilizer", "polynomial_text",
-    "ANALYZED_OPS", "CYCLE_PARAM_SUP", "scalar_map", "scalar_map_report",
+    "ANALYZED_OPS", "CYCLE_PARAM_SUP", "regime", "scalar_map", "scalar_map_report",
     "iterate", "omega_limit", "TrajectoryReport", "trajectory_csv",
     "slice_fixed_height", "slice_cycle_heights", "edge_fixed_height",
     "PointSet", "CurveFamily", "fixed_points_exact", "periodic2_exact",

@@ -31,6 +31,7 @@ from .dynamics import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     omega_limit,
+    regime,
     trajectory_csv,
     verify_predictions,
 )
@@ -170,18 +171,30 @@ def _parse_x0(text: str) -> SimplexPoint:
         raise UsageError(f"--x0 is not a simplex point: {exc}") from None
 
 
+def _read_tensor_file(path: Path) -> HeredityTensor:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read tensor file: {exc}") from None
+    try:
+        return HeredityTensor.from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad tensor file: {exc}") from None
+
+
+def _catalog_tensor(op: int, a: float) -> HeredityTensor:
+    if not 1 <= op <= 36:
+        raise UsageError("--op must be in 1..36")
+    if not 0.0 <= a <= 1.0:
+        raise UsageError("--a must lie in [0, 1]")
+    return operator_tensor(op, a)
+
+
 def _load_tensor(args) -> tuple[HeredityTensor, dict]:
     if (args.tensor is None) == (args.op is None):
         raise UsageError("need exactly one input source: --op with --a, or --tensor")
     if args.tensor is not None:
-        try:
-            text = args.tensor.read_text()
-        except OSError as exc:
-            raise UsageError(f"cannot read tensor file: {exc}") from None
-        try:
-            T = HeredityTensor.from_json(text)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad tensor file: {exc}") from None
+        T = _read_tensor_file(args.tensor)
         report = validate(T)
         if not report.ok:
             raise UsageError(
@@ -190,11 +203,7 @@ def _load_tensor(args) -> tuple[HeredityTensor, dict]:
         return T, {"tensor_file": str(args.tensor)}
     if args.a is None:
         raise UsageError("--op requires --a")
-    if not 1 <= args.op <= 36:
-        raise UsageError("--op must be in 1..36")
-    if not 0.0 <= args.a <= 1.0:
-        raise UsageError("--a must lie in [0, 1]")
-    return operator_tensor(args.op, args.a), {"op": args.op, "a": args.a}
+    return _catalog_tensor(args.op, args.a), {"op": args.op, "a": args.a}
 
 
 def _cmd_simulate(args) -> int:
@@ -209,11 +218,11 @@ def _cmd_simulate(args) -> int:
         if args.count < 1:
             raise UsageError("--count must be >= 1")
         points = sample(T.m, args.seed, args.count)
-    balanced = source.get("a") == 0.5
+    balanced = "a" in source and regime(source["a"]) == "balanced"
     tol = args.tol if args.tol is not None else (BALANCED_TOL if balanced else DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else (
         BALANCED_MAX_ITER if balanced else DEFAULT_MAX_ITER)
-    if tol <= 0:
+    if not tol > 0:
         raise UsageError("--tol must be positive")
     if max_iter < 1:
         raise UsageError("--max-iter must be >= 1")
@@ -275,14 +284,7 @@ def _cmd_tensor(args) -> int:
     if args.tensor is not None and args.op is not None:
         raise UsageError("choose one: export with --op/--a or validate with --tensor")
     if args.tensor is not None:
-        try:
-            text = args.tensor.read_text()
-        except OSError as exc:
-            raise UsageError(f"cannot read tensor file: {exc}") from None
-        try:
-            T = HeredityTensor.from_json(text)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad tensor file: {exc}") from None
+        T = _read_tensor_file(args.tensor)
         report = validate(T)
         payload = {
             "schema_version": 1,
@@ -294,12 +296,7 @@ def _cmd_tensor(args) -> int:
         return 0 if report.ok else 2
     if args.op is None or args.a is None:
         raise UsageError("tensor export needs --op and --a")
-    if not 1 <= args.op <= 36:
-        raise UsageError("--op must be in 1..36")
-    if not 0.0 <= args.a <= 1.0:
-        raise UsageError("--a must lie in [0, 1]")
-    T = operator_tensor(args.op, args.a)
-    _emit(T.to_json(), args.out)
+    _emit(_catalog_tensor(args.op, args.a).to_json(), args.out)
     return 0
 
 

@@ -71,6 +71,22 @@ def scalar_map(x: float, a: float) -> float:
     return x * x + 2.0 * a * x * (1.0 - x)
 
 
+def regime(a: float) -> str:
+    """Parameter regime of the analyzed operators: "below", "balanced" or "above".
+
+    The scalar map drifts interior points down to 0 for a < 1/2 and up to 1
+    for a > 1/2; at a = 1/2 it is the identity and the finite limit sets of
+    the analyzed operators grow into curve families. This is the one place
+    that compares a with 1/2 (exactly); it rejects a outside [0, 1],
+    NaN included.
+    """
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"parameter {a} outside [0, 1]")
+    if a == 0.5:
+        return "balanced"
+    return "below" if a < 0.5 else "above"
+
+
 @dataclass(frozen=True)
 class ScalarMapReport:
     a: float
@@ -96,7 +112,8 @@ def scalar_map_report(
     """Audit the scalar map on a grid: endpoint fixed points, monotonicity,
     the drift sign (a - 1/2)(f(x) - x) > 0 on the interior, and convergence
     of every interior grid orbit to the predicted endpoint."""
-    if a == 0.5:
+    side = regime(a)
+    if side == "balanced":
         raise ValueError("a = 1/2 gives the identity map; nothing to audit")
     xs = np.asarray(grid if grid is not None else np.linspace(0.0, 1.0, 101), dtype=float)
     xs = np.sort(xs)
@@ -117,7 +134,7 @@ def scalar_map_report(
     if not sign_ok:
         failures.append("drift sign property violated on interior grid")
 
-    target = 0.0 if a < 0.5 else 1.0
+    target = 0.0 if side == "below" else 1.0
     orbit = xs[interior].copy()
     remaining = np.arange(orbit.size)
     steps = 0
@@ -203,7 +220,7 @@ def omega_limit(
     Kept iterates: every step up to 100, then geometrically spaced samples,
     plus the final state.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -395,22 +412,172 @@ def _curve_min_distance(curve: CurveFamily, arr: np.ndarray) -> float:
     return min(dists[i], gb, gd)
 
 
+def _edge_point(zero: int, u: float) -> np.ndarray:
+    """The point of the edge x[zero] = 0 (0-based) with u, 1 - u on the other two coordinates."""
+    p = np.zeros(3)
+    i, j = (1, 2) if zero == 0 else (0, 3 - zero)
+    p[i], p[j] = u, 1.0 - u
+    return p
+
+
 def _edge_curve(zero_index: int, label: str, **kwargs) -> CurveFamily:
     """The simplex edge x_{zero_index} = 0 parameterized by the next coordinate."""
-    others = [i for i in range(3) if i != zero_index - 1]
+    return CurveFamily(label, 0.0, 1.0,
+                       lambda t: SimplexPoint(_edge_point(zero_index - 1, t)), **kwargs)
 
-    def point_at(t: float) -> SimplexPoint:
-        p = np.zeros(3)
-        p[others[0]] = t
-        p[others[1]] = 1.0 - t
-        return SimplexPoint(p)
 
-    return CurveFamily(label, 0.0, 1.0, point_at, **kwargs)
+def _slice_point(c: float, h: float) -> SimplexPoint:
+    return SimplexPoint((c, h, 1.0 - c - h))
+
+
+# Operator 4 at a = 1/2: the slice fixed curve and the two 2-cycle branches.
+_SLICE_FIXED = CurveFamily("slice fixed curve", 0.0, 1.0,
+                           lambda b: _slice_point(b, slice_fixed_height(b)))
+_SLICE_CYCLE_LOW = CurveFamily(
+    "slice cycle, low branch", 0.0, CYCLE_PARAM_SUP,
+    lambda c: _slice_point(c, slice_cycle_heights(c)[0]), include_hi=False)
+_SLICE_CYCLE_HIGH = CurveFamily(
+    "slice cycle, high branch", 0.0, CYCLE_PARAM_SUP,
+    lambda c: _slice_point(c, slice_cycle_heights(c)[1]), include_hi=False)
+
+
+# ---------------------------------------------------------------------------
+# The limit-case table: one entry per (operator, regime)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Branch:
+    """One case of a limit analysis: orbits starting where `holds` is true
+    converge to `target(x0)`, a point or an unordered 2-cycle."""
+
+    label: str  # condition on x(0), e.g. "x1(0) != 0"
+    target_text: str  # e.g. "e1"
+    holds: Callable[[np.ndarray], bool]
+    draw: Callable[[np.random.Generator], np.ndarray]  # initial points for verification
+    kind: str  # "point" | "cycle"
+    target: Callable[[np.ndarray], tuple[SimplexPoint, ...]]
+    continuum: bool = False  # target lies on a parametric family
+
+
+def _case(label: str, target_text: str, holds, kind: str, target, continuum: bool = False,
+          draw=None) -> _Branch:
+    """A branch whose starts are interior draws satisfying `holds`, unless `draw` is given."""
+    def interior(rng: np.random.Generator) -> np.ndarray:
+        while True:
+            p = sample_with_rng(3, rng, 1)[0]
+            if holds(p):
+                return p
+
+    return _Branch(label, target_text, holds, draw or interior, kind, target, continuum)
+
+
+def _off_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
+    """x_i(0) != 0 -> a vertex or a 2-cycle of vertices."""
+    return _case(f"x{i}(0) != 0", target_text, lambda x: x[i - 1] > ZERO_TOL,
+                 "cycle" if len(points) == 2 else "point", lambda x: points)
+
+
+def _on_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
+    """x_i(0) = 0 -> a vertex or a 2-cycle of vertices; starts drawn on that edge."""
+    return _case(f"x{i}(0) = 0", target_text, lambda x: x[i - 1] <= ZERO_TOL,
+                 "cycle" if len(points) == 2 else "point", lambda x: points,
+                 draw=lambda rng: _edge_point(i - 1, rng.random()))
+
+
+@dataclass(frozen=True)
+class _LimitTable:
+    """Exact fixed and 2-periodic sets of one (operator, regime), plus the
+    case branches for every other start, in verification order."""
+
+    fixed: PointSet
+    periodic2: PointSet
+    branches: tuple[_Branch, ...]
+
+    def excluded(self, x) -> Optional[str]:
+        """Name of the exact set within EXCLUSION_RADIUS of x, if any."""
+        if self.fixed.min_l1_distance(x) <= EXCLUSION_RADIUS:
+            return "fixed-point"
+        if not self.periodic2.is_empty and self.periodic2.min_l1_distance(x) <= EXCLUSION_RADIUS:
+            return "2-periodic"
+        return None
+
+
+E1, E2, E3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
+_VERTICES = PointSet(points=(E1, E2, E3))
+_VERTEX_CYCLE = PointSet(points=(E2, E3))
+_OP4_FIXED = PointSet(points=(E1, _SLICE_FIXED.point_at(0.0)))
+
+
+def _op13_balanced(a: float) -> _LimitTable:
+    edge = _edge_curve(2, "edge x2 = 0")
+    line = CurveFamily("x1 = x3 segment", 0.0, 0.5,
+                       lambda t: SimplexPoint((t, 1.0 - 2.0 * t, t)))
+    return _LimitTable(PointSet(curves=(edge, line)), PointSet(), (
+        _case("x1(0) > 1/2", "(x1, 0, 1 - x1)", lambda x: x[0] > 0.5, "point",
+              lambda x: (edge.point_at(float(x[0])),), continuum=True),
+        _case("x1(0) <= 1/2", "(x1, 1 - 2 x1, x1)", lambda x: x[0] <= 0.5, "point",
+              lambda x: (line.point_at(float(x[0])),), continuum=True),
+    ))
+
+
+def _op4_balanced(a: float) -> _LimitTable:
+    return _LimitTable(
+        PointSet(curves=(_SLICE_FIXED,)), PointSet(curves=(_SLICE_CYCLE_LOW, _SLICE_CYCLE_HIGH)), (
+            _case("x1(0) < cycle sup", "slice 2-cycle", lambda x: x[0] < CYCLE_PARAM_SUP, "cycle",
+                  lambda x: (_SLICE_CYCLE_LOW.point_at(float(x[0])),
+                             _SLICE_CYCLE_HIGH.point_at(float(x[0]))), continuum=True),
+            _case("x1(0) >= cycle sup", "slice fixed point", lambda x: x[0] >= CYCLE_PARAM_SUP,
+                  "point", lambda x: (_SLICE_FIXED.point_at(float(x[0])),), continuum=True),
+        ))
+
+
+def _op28_fixed(a: float) -> PointSet:
+    return PointSet(points=(E1, SimplexPoint(_edge_point(0, edge_fixed_height(a)))))
+
+
+def _op28_off_balance(a: float) -> _LimitTable:
+    return _LimitTable(_op28_fixed(a), _VERTEX_CYCLE, (
+        _on_edge(1, "cycle {e2, e3}", E2, E3), _off_edge(1, "e1", E1)))
+
+
+_TABLES: dict[tuple[int, str], Callable[[float], _LimitTable]] = {
+    (13, "below"): lambda a: _LimitTable(
+        _VERTICES, PointSet(), (_off_edge(2, "e2", E2), _on_edge(2, "e3", E3))),
+    (13, "balanced"): _op13_balanced,
+    (13, "above"): lambda a: _LimitTable(
+        _VERTICES, PointSet(), (_off_edge(1, "e1", E1), _on_edge(1, "e2", E2))),
+    # Below 1/2 only the exact sets of operator 4 are known: no start has a covered prediction.
+    (4, "below"): lambda a: _LimitTable(_OP4_FIXED, _VERTEX_CYCLE, ()),
+    (4, "balanced"): _op4_balanced,
+    (4, "above"): lambda a: _LimitTable(_OP4_FIXED, _VERTEX_CYCLE, (
+        _off_edge(1, "e1", E1), _on_edge(1, "cycle {e2, e3}", E2, E3))),
+    (28, "below"): _op28_off_balance,
+    (28, "balanced"): lambda a: _LimitTable(_op28_fixed(a), PointSet(curves=(
+        _edge_curve(1, "edge x1 = 0 (minus its midpoint)", exclude_params=(0.5,)),)),
+        (_off_edge(1, "e1", E1),)),
+    (28, "above"): _op28_off_balance,
+    (25, "below"): lambda a: _LimitTable(
+        _VERTICES, PointSet(), (_on_edge(1, "e3", E3), _off_edge(1, "e1", E1))),
+    (25, "balanced"): lambda a: _LimitTable(
+        PointSet(points=(E1,), curves=(_edge_curve(1, "edge x1 = 0"),)), PointSet(),
+        (_off_edge(1, "e1", E1),)),
+    (25, "above"): lambda a: _LimitTable(
+        _VERTICES, PointSet(), (_on_edge(1, "e2", E2), _off_edge(1, "e1", E1))),
+}
 
 
 def _require_analyzed(op_id: int) -> None:
     if op_id not in ANALYZED_OPS:
         raise ValueError(f"operator {op_id} is not one of the analyzed ids {ANALYZED_OPS}")
+
+
+def _limit_table(op_id: int, a: float, covered: bool = False) -> _LimitTable:
+    """The table entry of (op_id, regime(a)); with covered=True it must carry predictions."""
+    _require_analyzed(op_id)
+    table = _TABLES[op_id, regime(a)](a)
+    if covered and not table.branches:
+        raise ValueError(f"operator {op_id} has no covered limit prediction for a < 1/2")
+    return table
 
 
 def fixed_points_exact(op_id: int, a: float) -> PointSet:
@@ -419,33 +586,7 @@ def fixed_points_exact(op_id: int, a: float) -> PointSet:
     Finite at generic a; at a = 1/2 three of the operators develop curves of
     fixed points, returned as parametric families.
     """
-    _require_analyzed(op_id)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter {a} outside [0, 1]")
-    e1, e2, e3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
-    balanced = a == 0.5
-    if op_id == 13:
-        if not balanced:
-            return PointSet(points=(e1, e2, e3))
-        line = CurveFamily(
-            "x1 = x3 segment", 0.0, 0.5,
-            lambda t: SimplexPoint((t, 1.0 - 2.0 * t, t)))
-        return PointSet(curves=(_edge_curve(2, "edge x2 = 0"), line))
-    if op_id == 4:
-        if not balanced:
-            h = slice_fixed_height(0.0)
-            return PointSet(points=(e1, SimplexPoint((0.0, h, 1.0 - h))))
-        def fixed_curve(b: float) -> SimplexPoint:
-            h = slice_fixed_height(b)
-            return SimplexPoint((b, h, 1.0 - b - h))
-        return PointSet(curves=(CurveFamily("slice fixed curve", 0.0, 1.0, fixed_curve),))
-    if op_id == 28:
-        h = edge_fixed_height(a)
-        return PointSet(points=(e1, SimplexPoint((0.0, h, 1.0 - h))))
-    # op_id == 25
-    if not balanced:
-        return PointSet(points=(e1, e2, e3))
-    return PointSet(points=(e1,), curves=(_edge_curve(1, "edge x1 = 0"),))
+    return _limit_table(op_id, a).fixed
 
 
 def periodic2_exact(op_id: int, a: float) -> PointSet:
@@ -455,32 +596,7 @@ def periodic2_exact(op_id: int, a: float) -> PointSet:
     monotonically off the invariant edges, which rules out periodic returns,
     and the edge restrictions have only fixed points.
     """
-    _require_analyzed(op_id)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter {a} outside [0, 1]")
-    if op_id in (13, 25):
-        return PointSet()
-    e2, e3 = vertex(2, 3), vertex(3, 3)
-    balanced = a == 0.5
-    if op_id == 4:
-        if not balanced:
-            return PointSet(points=(e2, e3))
-        def low(c: float) -> SimplexPoint:
-            h = slice_cycle_heights(c)[0]
-            return SimplexPoint((c, h, 1.0 - c - h))
-        def high(c: float) -> SimplexPoint:
-            h = slice_cycle_heights(c)[1]
-            return SimplexPoint((c, h, 1.0 - c - h))
-        return PointSet(curves=(
-            CurveFamily("slice cycle, low branch", 0.0, CYCLE_PARAM_SUP, low, include_hi=False),
-            CurveFamily("slice cycle, high branch", 0.0, CYCLE_PARAM_SUP, high, include_hi=False),
-        ))
-    # op_id == 28
-    if not balanced:
-        return PointSet(points=(e2, e3))
-    return PointSet(curves=(
-        _edge_curve(1, "edge x1 = 0 (minus its midpoint)", exclude_params=(0.5,)),
-    ))
+    return _limit_table(op_id, a).periodic2
 
 
 # ---------------------------------------------------------------------------
@@ -546,26 +662,19 @@ def _edge_fixed_candidates(T: HeredityTensor, refine_tol: float) -> list[tuple[f
     """Bisection roots of the edge-restricted fixed-point equations."""
     out: list[tuple[float, np.ndarray]] = []
     for zero in range(3):
-        others = [i for i in range(3) if i != zero]
-
-        def embed(u: float) -> np.ndarray:
-            p = np.zeros(3)
-            p[others[0]] = u
-            p[others[1]] = 1.0 - u
-            return p
-
+        free = 1 if zero == 0 else 0  # the coordinate _edge_point sets to u
         probe = np.linspace(0.0, 1.0, 33)
-        if max(float(apply_array(T, embed(u))[zero]) for u in probe) > ZERO_TOL:
+        if max(float(apply_array(T, _edge_point(zero, u))[zero]) for u in probe) > ZERO_TOL:
             continue  # edge not invariant; no boundary roots to recover here
 
         def f(u: float) -> float:
-            return float(apply_array(T, embed(u))[others[0]]) - u
+            return float(apply_array(T, _edge_point(zero, u))[free]) - u
 
         us = np.linspace(0.0, 1.0, 1025)
         vals = np.array([f(u) for u in us])
         for u, val in zip(us, vals):
             if abs(val) <= refine_tol:
-                p = embed(float(u))
+                p = _edge_point(zero, float(u))
                 out.append((float(np.abs(apply_array(T, p) - p).sum()), p))
         for i in range(len(us) - 1):
             if vals[i] == 0.0 or vals[i] * vals[i + 1] > 0.0:
@@ -582,7 +691,7 @@ def _edge_fixed_candidates(T: HeredityTensor, refine_tol: float) -> list[tuple[f
                     hi = mid
                 else:
                     lo, flo = mid, fm
-            p = embed(0.5 * (lo + hi))
+            p = _edge_point(zero, 0.5 * (lo + hi))
             r = float(np.abs(apply_array(T, p) - p).sum())
             if r <= refine_tol:
                 out.append((r, p))
@@ -649,125 +758,24 @@ class LimitPrediction:
 def limit_prediction(op_id: int, a: float, x0: SimplexPoint) -> LimitPrediction:
     """Case analysis mapping an initial point to its predicted limit set.
 
-    Raises ValueError for parameter ranges without a covered prediction
-    (operator 4 below a = 1/2) and for initial points the predictions exclude
-    (within EXCLUSION_RADIUS of the fixed/2-periodic sets, whose orbits are
-    trivial and not covered by the case analysis).
+    Returns the first branch of the (operator, regime) table whose condition
+    holds at x0. Raises ValueError for parameter ranges without a covered
+    prediction (operator 4 below a = 1/2) and for initial points the
+    predictions exclude (within EXCLUSION_RADIUS of the fixed/2-periodic
+    sets, whose orbits are trivial and not covered by the case analysis).
     """
-    _require_analyzed(op_id)
     if x0.m != 3:
         raise ValueError("predictions are for the 2-simplex")
-    if op_id == 4 and a < 0.5:
-        raise ValueError("operator 4 has no covered limit prediction for a < 1/2")
-    if fixed_points_exact(op_id, a).min_l1_distance(x0) <= EXCLUSION_RADIUS:
-        raise ValueError("initial point lies in the excluded fixed-point set")
-    per2 = periodic2_exact(op_id, a)
-    if not per2.is_empty and per2.min_l1_distance(x0) <= EXCLUSION_RADIUS:
-        raise ValueError("initial point lies in the excluded 2-periodic set")
-    e1, e2, e3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
-    c = float(x0[0])
-    x2 = float(x0[1])
-    on_edge1 = c <= ZERO_TOL
-    on_edge2 = x2 <= ZERO_TOL
-
-    if op_id == 13:
-        if a == 0.5:
-            if c > 0.5:
-                p = SimplexPoint((c, 0.0, 1.0 - c))
-                return LimitPrediction("point", (p,), True, "x1(0) > 1/2 -> (x1, 0, 1 - x1)")
-            p = SimplexPoint((c, 1.0 - 2.0 * c, c))
-            return LimitPrediction("point", (p,), True, "x1(0) <= 1/2 -> (x1, 1 - 2 x1, x1)")
-        if a < 0.5:
-            if not on_edge2:
-                return LimitPrediction("point", (e2,), False, "x2(0) != 0 -> e2")
-            return LimitPrediction("point", (e3,), False, "x2(0) = 0 -> e3")
-        if not on_edge1:
-            return LimitPrediction("point", (e1,), False, "x1(0) != 0 -> e1")
-        return LimitPrediction("point", (e2,), False, "x1(0) = 0 -> e2")
-
-    if op_id == 4:
-        if a == 0.5:
-            if c < CYCLE_PARAM_SUP:
-                lo, hi = slice_cycle_heights(c)
-                pts = (SimplexPoint((c, lo, 1.0 - c - lo)), SimplexPoint((c, hi, 1.0 - c - hi)))
-                return LimitPrediction("cycle", pts, True, "x1(0) < cycle sup -> slice 2-cycle")
-            h = slice_fixed_height(c)
-            p = SimplexPoint((c, h, 1.0 - c - h))
-            return LimitPrediction("point", (p,), True, "x1(0) >= cycle sup -> slice fixed point")
-        if not on_edge1:
-            return LimitPrediction("point", (e1,), False, "x1(0) != 0 -> e1")
-        return LimitPrediction("cycle", (e2, e3), False, "x1(0) = 0 -> cycle {e2, e3}")
-
-    if op_id == 28:
-        if a != 0.5 and on_edge1:
-            return LimitPrediction("cycle", (e2, e3), False, "x1(0) = 0 -> cycle {e2, e3}")
-        return LimitPrediction("point", (e1,), False, "x1(0) != 0 -> e1")
-
-    # op_id == 25
-    if on_edge1 and a != 0.5:
-        target = e3 if a < 0.5 else e2
-        name = "e3" if a < 0.5 else "e2"
-        return LimitPrediction("point", (target,), False, f"x1(0) = 0 -> {name}")
-    return LimitPrediction("point", (e1,), False, "x1(0) != 0 -> e1")
-
-
-def _interior_draw(rng: np.random.Generator) -> np.ndarray:
-    return sample_with_rng(3, rng, 1)[0]
-
-
-def _edge_draw(zero_index: int) -> Callable[[np.random.Generator], np.ndarray]:
-    others = [i for i in range(3) if i != zero_index - 1]
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        u = rng.random()
-        p = np.zeros(3)
-        p[others[0]] = u
-        p[others[1]] = 1.0 - u
-        return p
-
-    return draw
-
-
-def _constrained_interior(pred: Callable[[np.ndarray], bool]) -> Callable[[np.random.Generator], np.ndarray]:
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        while True:
-            p = _interior_draw(rng)
-            if pred(p):
-                return p
-
-    return draw
-
-
-def _case_samplers(op_id: int, a: float) -> list[tuple[str, Callable[[np.random.Generator], np.ndarray]]]:
-    """Initial-point samplers for every case branch of an analyzed operator."""
-    _require_analyzed(op_id)
-    interior = _interior_draw
-    if op_id == 13:
-        if a == 0.5:
-            return [
-                ("x1(0) > 1/2", _constrained_interior(lambda p: p[0] > 0.5)),
-                ("x1(0) <= 1/2", _constrained_interior(lambda p: p[0] <= 0.5)),
-            ]
-        if a < 0.5:
-            return [("x2(0) != 0", interior), ("x2(0) = 0", _edge_draw(2))]
-        return [("x1(0) != 0", interior), ("x1(0) = 0", _edge_draw(1))]
-    if op_id == 4:
-        if a == 0.5:
-            return [
-                ("x1(0) < cycle sup", _constrained_interior(lambda p: p[0] < CYCLE_PARAM_SUP)),
-                ("x1(0) >= cycle sup", _constrained_interior(lambda p: p[0] >= CYCLE_PARAM_SUP)),
-            ]
-        if a < 0.5:
-            raise ValueError("operator 4 has no covered limit prediction for a < 1/2")
-        return [("x1(0) != 0", interior), ("x1(0) = 0", _edge_draw(1))]
-    if op_id == 28:
-        if a == 0.5:
-            return [("x1(0) != 0", interior)]
-        return [("x1(0) = 0", _edge_draw(1)), ("x1(0) != 0", interior)]
-    # op_id == 25
-    if a == 0.5:
-        return [("x1(0) != 0", interior)]
-    return [("x1(0) = 0", _edge_draw(1)), ("x1(0) != 0", interior)]
+    table = _limit_table(op_id, a, covered=True)
+    where = table.excluded(x0)
+    if where is not None:
+        raise ValueError(f"initial point lies in the excluded {where} set")
+    x = x0.coords
+    for branch in table.branches:
+        if branch.holds(x):
+            return LimitPrediction(branch.kind, branch.target(x), branch.continuum,
+                                   f"{branch.label} -> {branch.target_text}")
+    raise ValueError("no case of the analysis covers this initial point")
 
 
 @dataclass(frozen=True)
@@ -859,44 +867,42 @@ def verify_predictions(
     _require_analyzed(op_id)
     if seeds < 1:
         raise ValueError("need seeds >= 1")
+    if tol is not None and not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     reports = []
     for a in a_values:
+        table = _limit_table(op_id, a, covered=True)
         T = operator_tensor(op_id, a)
-        excluded = fixed_points_exact(op_id, a)
-        per2 = periodic2_exact(op_id, a)
         cases = []
-        for case_idx, (label, draw) in enumerate(_case_samplers(op_id, a)):
+        for case_idx, branch in enumerate(table.branches):
             rng = np.random.default_rng(
                 [base_seed, op_id, case_idx, int(round(a * 10 ** 9))])
-            xs = []
-            preds = []
+            xs, targets = [], []
             while len(xs) < seeds:
-                arr = draw(rng)
-                if excluded.min_l1_distance(arr) <= EXCLUSION_RADIUS:
-                    continue
-                if not per2.is_empty and per2.min_l1_distance(arr) <= EXCLUSION_RADIUS:
-                    continue
-                xs.append(arr)
-                preds.append(limit_prediction(op_id, a, SimplexPoint(arr)))
-            continuum = preds[0].continuum
+                arr = branch.draw(rng)
+                if table.excluded(arr) is None:
+                    xs.append(arr)
+                    targets.append(branch.target(SimplexPoint(arr).coords))
             case_tol = tol if tol is not None else (
-                VERIFY_CURVE_TOL if continuum else VERIFY_POINT_TOL)
+                VERIFY_CURVE_TOL if branch.continuum else VERIFY_POINT_TOL)
             case_max = max_iter if max_iter is not None else (
-                VERIFY_CURVE_MAX_ITER if continuum else VERIFY_POINT_MAX_ITER)
-            steps, dists = _run_case(T, np.array(xs), preds, case_tol, case_max)
+                VERIFY_CURVE_MAX_ITER if branch.continuum else VERIFY_POINT_MAX_ITER)
+            steps, dists = _run_case(T, np.array(xs), branch.kind, targets, case_tol, case_max)
             verdicts = tuple(
                 PointVerdict(
                     index=i,
                     x0=tuple(float(v) for v in xs[i]),
-                    predicted=tuple(p.as_tuple() for p in preds[i].points),
-                    prediction_kind=preds[i].kind,
+                    predicted=tuple(p.as_tuple() for p in targets[i]),
+                    prediction_kind=branch.kind,
                     steps=int(steps[i]) if steps[i] >= 0 else None,
                     distance=float(dists[i]),
                     passed=bool(steps[i] >= 0),
                 )
                 for i in range(seeds)
             )
-            cases.append(CaseResult(label, case_tol, case_max, verdicts))
+            cases.append(CaseResult(branch.label, case_tol, case_max, verdicts))
         reports.append(VerificationReport(op_id, float(a), seeds, base_seed, tuple(cases)))
     return reports
 
@@ -904,7 +910,8 @@ def verify_predictions(
 def _run_case(
     T: HeredityTensor,
     X0: np.ndarray,
-    preds: Sequence[LimitPrediction],
+    kind: str,
+    targets: Sequence[tuple[SimplexPoint, ...]],
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -915,9 +922,8 @@ def _run_case(
     unordered pair (previous, current) against the predicted pair.
     """
     n = X0.shape[0]
-    kind = preds[0].kind
-    P1 = np.array([p.points[0].coords for p in preds])
-    P2 = np.array([p.points[-1].coords for p in preds]) if kind == "cycle" else None
+    P1 = np.array([pts[0].coords for pts in targets])
+    P2 = np.array([pts[-1].coords for pts in targets]) if kind == "cycle" else None
 
     steps = np.full(n, -1, dtype=np.int64)
     final = np.full(n, np.inf)

@@ -136,11 +136,13 @@ def apply(T: HeredityTensor, x: SimplexPoint) -> SimplexPoint:
 class Violation:
     """One broken constraint: kind, offending 1-based indices, magnitude."""
 
-    kind: str  # "negative" | "asymmetric" | "row_sum"
+    kind: str  # "non_finite" | "negative" | "asymmetric" | "row_sum"
     where: tuple[int, ...]
     value: float
 
     def describe(self) -> str:
+        if self.kind == "non_finite":
+            return f"P{self.where} = {self.value} is not finite"
         if self.kind == "negative":
             return f"P{self.where} = {self.value} is negative"
         if self.kind == "asymmetric":
@@ -162,31 +164,24 @@ class TensorValidation:
 
 
 def validate(T: HeredityTensor, tol: float = ZERO_TOL) -> TensorValidation:
-    """Audit nonnegativity, (i, j) symmetry, and unit row sums.
+    """Audit finiteness, nonnegativity, (i, j) symmetry, and unit row sums.
 
     Returns a report listing every violated constraint with indices and
     magnitudes; an empty report means the tensor is a valid heredity array.
     """
     P = T.table
-    m = T.m
-    found: list[Violation] = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if P[i, j, k] < -tol:
-                    found.append(Violation("negative", (i + 1, j + 1, k + 1), float(P[i, j, k])))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                d = abs(P[i, j, k] - P[j, i, k])
-                if d > tol:
-                    found.append(Violation("asymmetric", (i + 1, j + 1, k + 1), float(d)))
+    asym = np.abs(P - P.transpose(1, 0, 2))  # |P[i,j,k] - P[j,i,k]|
+    upper = np.triu(np.ones(P.shape[:2], dtype=bool), 1)[:, :, None]  # pairs i < j
     sums = P.sum(axis=2)
-    for i in range(m):
-        for j in range(m):
-            if abs(sums[i, j] - 1.0) > tol:
-                found.append(Violation("row_sum", (i + 1, j + 1), float(sums[i, j])))
-    return TensorValidation(tuple(found))
+    checks = (
+        ("non_finite", ~np.isfinite(P), P),
+        ("negative", P < -tol, P),
+        ("asymmetric", (asym > tol) & upper, asym),
+        ("row_sum", np.abs(sums - 1.0) > tol, sums),
+    )
+    return TensorValidation(tuple(
+        Violation(kind, tuple(int(v) + 1 for v in idx), float(values[tuple(idx)]))
+        for kind, mask, values in checks for idx in np.argwhere(mask)))
 
 
 # ---------------------------------------------------------------------------

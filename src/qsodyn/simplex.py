@@ -46,7 +46,7 @@ class SimplexPoint:
         if low < 0.0:
             arr = np.where(arr < 0.0, 0.0, arr)
         s = arr.sum()
-        if abs(s - 1.0) > SUM_TOL:
+        if not abs(s - 1.0) <= SUM_TOL:  # also rejects NaN
             raise ValueError(f"coordinate sum {s} deviates from 1 by more than {SUM_TOL}")
         if s != 1.0:
             arr = _renormalize(arr)

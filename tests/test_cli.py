@@ -119,6 +119,31 @@ class TestSimulate:
         assert code == 1
         assert "x0" in err
 
+    def test_non_finite_x0(self, capsys):
+        for text in ("nan,0.5,0.5", "inf,0.5,0.5", "-inf,0.5,0.5"):
+            code, out, err = _run(capsys, "simulate", "--op", "4", "--a", "0.3",
+                                  "--x0", text)
+            assert code == 1 and out == ""
+            assert err.startswith("error:")
+
+    def test_bad_tolerance(self, capsys):
+        for tol in ("nan", "0", "-1"):
+            code, out, err = _run(capsys, "simulate", "--op", "13", "--a", "0.2",
+                                  "--x0", "0.3,0.4,0.3", "--tol", tol)
+            assert code == 1 and out == ""
+            assert err.startswith("error:")
+
+    def test_non_finite_tensor_file(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        _run(capsys, "tensor", "--op", "25", "--a", "0.3", "--out", str(path))
+        data = json.loads(path.read_text())
+        data["P"][1] = float("nan")
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "simulate", "--tensor", str(path),
+                              "--x0", "0.3,0.4,0.3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not finite" in err
+
     def test_tensor_file_input(self, capsys, tmp_path):
         tensor_path = tmp_path / "t.json"
         code, _, _ = _run(capsys, "tensor", "--op", "28", "--a", "0.5",
@@ -164,6 +189,24 @@ class TestVerify:
         assert code == 1
         assert "choose from" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--max-iter", "0"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+        ("--tol", "0"),
+    ])
+    def test_bad_budget_or_tolerance(self, capsys, flags):
+        code, out, err = _run(capsys, "verify", "--op", "28", "--a", "0.3",
+                              "--seeds", "3", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+    def test_bad_parameter(self, capsys):
+        for a in ("nan", "1.5"):
+            code, out, err = _run(capsys, "verify", "--op", "13", "--a", a, "--seeds", "3")
+            assert code == 1 and out == ""
+            assert err.startswith("error:")
+
     def test_uncovered_parameter(self, capsys):
         code, _, err = _run(capsys, "verify", "--op", "4", "--a", "0.2",
                             "--seeds", "5")
@@ -193,6 +236,18 @@ class TestTensor:
         report = json.loads(out)
         assert report["valid"] is False
         assert report["violations"]
+
+    def test_validate_non_finite(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        _run(capsys, "tensor", "--op", "25", "--a", "0.3", "--out", str(path))
+        data = json.loads(path.read_text())
+        data["P"][1] = float("nan")  # json writes NaN, which json.loads accepts
+        path.write_text(json.dumps(data))
+        code, out, _ = _run(capsys, "tensor", "--tensor", str(path))
+        assert code == 2
+        report = json.loads(out)
+        assert report["valid"] is False
+        assert report["violations"] == ["P(1, 1, 2) = nan is not finite"]
 
 
 class TestDeterminism:

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qsodyn.catalog import operator_tensor
 from qsodyn.dynamics import (
+    ANALYZED_OPS,
     CYCLE_PARAM_SUP,
     PointSet,
+    _limit_table,
     edge_fixed_height,
     fixed_points_exact,
     fixed_points_numeric,
@@ -18,6 +21,7 @@ from qsodyn.dynamics import (
     omega_limit,
     periodic2_exact,
     region_classify,
+    regime,
     scalar_map,
     scalar_map_report,
     slice_cycle_heights,
@@ -397,3 +401,64 @@ class TestVerifier:
                 arr = np.array(verdict.x0)
                 assert fixed.min_l1_distance(arr) > 1e-9
                 assert per2.min_l1_distance(arr) > 1e-9
+
+
+# Every (operator, regime) whose table carries predictions; operator 4 has
+# none below 1/2.
+PREDICTED = [(op_id, a) for op_id in ANALYZED_OPS for a in (0.2, 0.5, 0.8)
+             if (op_id, a) != (4, 0.2)]
+
+
+class TestRegime:
+    def test_values(self):
+        assert [regime(a) for a in (0.0, 0.2, 0.5, 0.8, 1.0)] == [
+            "below", "below", "balanced", "above", "above"]
+
+    @pytest.mark.parametrize("a", [-0.1, 1.1, float("nan"), float("inf")])
+    def test_rejects_outside_unit_interval(self, a):
+        with pytest.raises(ValueError):
+            regime(a)
+
+
+class TestLimitTable:
+    def test_every_analyzed_regime_has_an_entry(self):
+        for op_id in ANALYZED_OPS:
+            for a in (0.2, 0.5, 0.8):
+                table = _limit_table(op_id, a)
+                assert not table.fixed.is_empty
+                assert bool(table.branches) == ((op_id, a) in PREDICTED)
+
+    @pytest.mark.parametrize("op_id,a", PREDICTED)
+    @given(u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+    @example(u=0.5, v=0.3)
+    @example(u=CYCLE_PARAM_SUP, v=0.3)
+    @example(u=1e-13, v=0.5)
+    @example(u=0.2, v=0.0)
+    def test_branches_partition_the_simplex(self, op_id, a, u, v):
+        x = SimplexPoint((u, (1.0 - u) * v, (1.0 - u) * (1.0 - v)))
+        table = _limit_table(op_id, a)
+        if table.excluded(x.coords) is not None:
+            with pytest.raises(ValueError):
+                limit_prediction(op_id, a, x)
+            return
+        holding = [b.label for b in table.branches if b.holds(x.coords)]
+        assert len(holding) == 1
+        assert limit_prediction(op_id, a, x).case.startswith(holding[0] + " -> ")
+
+    @pytest.mark.parametrize("op_id,a", PREDICTED)
+    def test_verification_draws_land_in_their_case(self, op_id, a):
+        (report,) = verify_predictions(op_id, (a,), seeds=25, max_iter=1)
+        assert [c.label for c in report.cases] == [
+            b.label for b in _limit_table(op_id, a).branches]
+        for case in report.cases:
+            for verdict in case.verdicts:
+                pred = limit_prediction(op_id, a, SimplexPoint(verdict.x0))
+                assert pred.case.startswith(case.label + " -> ")
+                assert pred.kind == verdict.prediction_kind
+                assert tuple(p.as_tuple() for p in pred.points) == verdict.predicted
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"max_iter": 0}])
+    def test_verifier_rejects_bad_budget(self, kwargs):
+        with pytest.raises(ValueError):
+            verify_predictions(28, (0.3,), seeds=3, **kwargs)

@@ -118,6 +118,41 @@ class TestValidate:
         report = validate(HeredityTensor(P))
         assert any(v.kind == "row_sum" and v.where == (3, 3) for v in report.violations)
 
+    def test_non_finite(self):
+        P = operator_tensor(25, 0.3).table.copy()
+        P[0, 1, 2] = np.nan
+        P[2, 0, 1] = np.inf
+        report = validate(HeredityTensor(P))
+        assert not report.ok
+        non_finite = [v for v in report.violations if v.kind == "non_finite"]
+        assert [v.where for v in non_finite] == [(1, 2, 3), (3, 1, 2)]
+        assert report.describe()[0] == "P(1, 2, 3) = nan is not finite"
+
+    def test_report_order_matches_entrywise_scan(self):
+        # Reference: scan every entry in (i, j, k) order, one constraint at a time.
+        rng = np.random.default_rng(5)
+        P = operator_tensor(13, 0.3).table.copy()
+        P[rng.random(P.shape) < 0.2] = -0.3
+        P[1, 2, 0] += 0.125
+        P[0, 0, 1] = np.nan
+        m, tol = P.shape[0], 1e-12
+        expected = [("non_finite", (i + 1, j + 1, k + 1), P[i, j, k])
+                    for i in range(m) for j in range(m) for k in range(m)
+                    if not np.isfinite(P[i, j, k])]
+        expected += [("negative", (i + 1, j + 1, k + 1), P[i, j, k])
+                     for i in range(m) for j in range(m) for k in range(m) if P[i, j, k] < -tol]
+        expected += [("asymmetric", (i + 1, j + 1, k + 1), abs(P[i, j, k] - P[j, i, k]))
+                     for i in range(m) for j in range(i + 1, m) for k in range(m)
+                     if abs(P[i, j, k] - P[j, i, k]) > tol]
+        sums = P.sum(axis=2)
+        expected += [("row_sum", (i + 1, j + 1), sums[i, j])
+                     for i in range(m) for j in range(m) if abs(sums[i, j] - 1.0) > tol]
+        got = [(v.kind, v.where, v.value) for v in validate(HeredityTensor(P)).violations]
+        assert len(got) == len(expected) > 4
+        for (kind, where, value), (kind_e, where_e, value_e) in zip(got, expected):
+            assert (kind, where) == (kind_e, where_e)
+            assert value == value_e or (np.isnan(value) and np.isnan(value_e))
+
 
 class TestVolterra:
     def test_v25_is_volterra(self):

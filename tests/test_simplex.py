@@ -40,6 +40,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimplexPoint((0.2, 0.3, 0.5 + 1e-8))
 
+    @pytest.mark.parametrize("coords", [
+        (float("nan"), 0.5, 0.5),
+        (0.5, float("nan"), float("nan")),
+        (float("inf"), 0.5, 0.5),
+        (float("-inf"), 0.5, 0.5),
+        (float("inf"), float("-inf"), 1.0),
+    ])
+    def test_rejects_non_finite(self, coords):
+        with pytest.raises(ValueError):
+            SimplexPoint(coords)
+
     def test_immutable(self):
         p = SimplexPoint((0.5, 0.5))
         with pytest.raises(ValueError):
