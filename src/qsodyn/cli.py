@@ -98,13 +98,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: Optional[Path]) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        out.write_text(text if text.endswith("\n") else text + "\n")
+        _write(out, text if text.endswith("\n") else text + "\n")
 
 
 def _emit_json(payload: dict, out: Optional[Path]) -> None:
@@ -215,8 +222,12 @@ def _cmd_simulate(args) -> int:
         if points[0].m != T.m:
             raise UsageError(f"--x0 has {points[0].m} coordinates, tensor expects {T.m}")
     else:
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         if args.count < 1:
             raise UsageError("--count must be >= 1")
+        if T.m < 2:
+            raise UsageError("--seed needs a tensor with m >= 2")
         points = sample(T.m, args.seed, args.count)
     balanced = "a" in source and regime(source["a"]) == "balanced"
     tol = args.tol if args.tol is not None else (BALANCED_TOL if balanced else DEFAULT_TOL)
@@ -242,7 +253,7 @@ def _cmd_simulate(args) -> int:
         if args.out is None:
             raise UsageError("CSV export needs --out to name the files")
         csv_path = args.out.with_suffix(".csv")
-        csv_path.write_text(trajectory_csv(reports[0]))
+        _write(csv_path, trajectory_csv(reports[0]))
     return 0 if all(r.outcome.kind != "undecided" for r in reports) else 2
 
 
@@ -264,6 +275,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"could not parse --a {args.a!r}: {exc}") from None
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     try:
         reports = verify_predictions(
             args.op, a_values, seeds=args.seeds, tol=args.tol,

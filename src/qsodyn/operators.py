@@ -35,8 +35,8 @@ class HeredityTensor:
 
     def __init__(self, table):
         arr = np.array(table, dtype=np.float64)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise ValueError(f"expected an (m, m, m) array, got shape {arr.shape}")
+        if arr.ndim != 3 or len(set(arr.shape)) != 1 or arr.size == 0:
+            raise ValueError(f"expected an (m, m, m) array with m >= 1, got shape {arr.shape}")
         arr.flags.writeable = False
         self._table = arr
 
@@ -193,16 +193,10 @@ def is_volterra(T: HeredityTensor, tol: float = ZERO_TOL) -> bool:
 
     Under this condition every offspring coordinate only redistributes mass
     already present in the parent coordinates (the discrete Lotka-Volterra
-    structure).
+    structure). Only pairs i <= j are read, which relies on the (i, j)
+    symmetry that :func:`validate` audits.
     """
-    P = T.table
-    m = T.m
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                if k != i and k != j and P[i, j, k] > tol:
-                    return False
-    return True
+    return ell_volterra_structure(T, tol).ell == T.m
 
 
 @dataclass(frozen=True)
@@ -225,15 +219,10 @@ def volterra_coefficients(T: HeredityTensor) -> VolterraCoefficients:
     """Interaction matrix of a Volterra tensor; raises on non-Volterra input."""
     if not is_volterra(T):
         raise ValueError("tensor does not satisfy the Volterra condition")
-    P = T.table
-    m = T.m
-    a = np.zeros((m, m))
-    for k in range(m):
-        for i in range(m):
-            if i != k:
-                a[k, i] = 2.0 * P[i, k, k] - 1.0
+    a = 2.0 * np.diagonal(T.table, axis1=1, axis2=2).T - 1.0  # 2 P[i, k, k] - 1 at [k, i]
+    np.fill_diagonal(a, 0.0)
     a.flags.writeable = False
-    return VolterraCoefficients(m, a)
+    return VolterraCoefficients(T.m, a)
 
 
 @dataclass(frozen=True)
@@ -253,9 +242,26 @@ class EllVolterraStructure:
     witnesses: dict[int, tuple[int, int]]
     ell: int
 
-    @property
-    def is_full(self) -> bool:
-        return self.ell == len(self.volterra_indices) and not self.witnesses
+
+def _first_witnesses(T: HeredityTensor, tol: float) -> np.ndarray:
+    """first[k, c]: flat index i * m + j of the lexicographically first pair
+    i <= j, both different from k, with P[i, j, c] > tol; -1 when there is
+    none, that is when column c read as coordinate k is Volterra."""
+    m = T.m
+    r = np.arange(m)
+    k, i, j = r[:, None, None], r[None, :, None], r[None, None, :]
+    pairs = (i <= j) & (i != k) & (j != k)  # (k, i, j)
+    feeds = (pairs[:, None] & (T.table.transpose(2, 0, 1) > tol)).reshape(m, m, m * m)
+    return np.where(feeds.any(axis=2), feeds.argmax(axis=2), -1)
+
+
+def _structure(first: np.ndarray, cols: np.ndarray) -> EllVolterraStructure:
+    """The structure of the tensor whose coordinate k is column cols[k] of the scanned one."""
+    m = len(cols)
+    pick = first[np.arange(m), cols].tolist()
+    vol = frozenset(k + 1 for k in range(m) if pick[k] < 0)
+    wit = {k + 1: (f // m + 1, f % m + 1) for k, f in enumerate(pick) if f >= 0}
+    return EllVolterraStructure(vol, wit, len(vol))
 
 
 def ell_volterra_structure(T: HeredityTensor, tol: float = ZERO_TOL) -> EllVolterraStructure:
@@ -265,24 +271,7 @@ def ell_volterra_structure(T: HeredityTensor, tol: float = ZERO_TOL) -> EllVolte
     coordinate either has all outside cross coefficients at zero, or it has a
     strictly positive witness pair.
     """
-    P = T.table
-    m = T.m
-    vol: set[int] = set()
-    wit: dict[int, tuple[int, int]] = {}
-    for k in range(m):
-        pair = None
-        for i in range(m):
-            if pair is not None:
-                break
-            for j in range(i, m):
-                if i != k and j != k and P[i, j, k] > tol:
-                    pair = (i + 1, j + 1)
-                    break
-        if pair is None:
-            vol.add(k + 1)
-        else:
-            wit[k + 1] = pair
-    return EllVolterraStructure(frozenset(vol), wit, len(vol))
+    return _structure(_first_witnesses(T, tol), np.arange(T.m))
 
 
 def relabel_outputs(T: HeredityTensor, tau: Permutation) -> HeredityTensor:
@@ -303,19 +292,19 @@ def permuted_ell_volterra(
 ) -> Optional[tuple[Permutation, EllVolterraStructure]]:
     """Best output relabeling that exposes a (partial) Volterra structure.
 
-    Tries all m! relabelings tau, computes the structure of the relabeled
-    tensor, and returns the tau giving the largest number of Volterra
-    coordinates (ties broken by lexicographically smallest tau). Returns
-    None when no relabeling yields even one Volterra coordinate.
+    Over all m! relabelings tau, returns the tau whose relabel_outputs(T, tau)
+    has the most Volterra coordinates (ties broken by lexicographically
+    smallest tau), with that structure. Returns None when no relabeling
+    yields even one Volterra coordinate.
     """
-    best: Optional[tuple[Permutation, EllVolterraStructure]] = None
-    for tau in Permutation.all_perms(T.m):
-        structure = ell_volterra_structure(relabel_outputs(T, tau), tol)
-        if best is None or structure.ell > best[1].ell:
-            best = (tau, structure)
-    if best is None or best[1].ell == 0:
+    first = _first_witnesses(T, tol)
+    perms = Permutation.all_perms(T.m)
+    cols = np.array([tau.image for tau in perms]) - 1  # (m!, m)
+    ells = np.count_nonzero(first[np.arange(T.m), cols] < 0, axis=1)
+    best = int(np.argmax(ells))  # the first maximum: all_perms is in lexicographic order
+    if ells[best] == 0:
         return None
-    return best
+    return perms[best], _structure(first, cols[best])
 
 
 def structure_label(T: HeredityTensor, tol: float = ZERO_TOL) -> dict:

@@ -20,11 +20,6 @@ NEG_TOL = 1e-12
 SUM_TOL = 1e-9
 
 
-def _renormalize(arr: np.ndarray) -> np.ndarray:
-    """Shared rescale step so fast paths and the constructor agree bitwise."""
-    return arr / arr.sum()
-
-
 class SimplexPoint:
     """An m-vector of nonnegative reals summing to 1.
 
@@ -49,7 +44,7 @@ class SimplexPoint:
         if not abs(s - 1.0) <= SUM_TOL:  # also rejects NaN
             raise ValueError(f"coordinate sum {s} deviates from 1 by more than {SUM_TOL}")
         if s != 1.0:
-            arr = _renormalize(arr)
+            arr = arr / s
         arr.flags.writeable = False
         self._coords = arr
 

@@ -162,6 +162,47 @@ class TestSimulate:
         assert code == 1
         assert "tensor" in err
 
+    @pytest.mark.parametrize("op,a,x0", [("13", "0.2", "0,1,0"), ("25", "0.3", "1,0,0")])
+    def test_fixed_start_stops_at_step_one(self, capsys, op, a, x0):
+        code, out, err = _run(capsys, "simulate", "--op", op, "--a", a, "--x0", x0)
+        assert code == 0 and err == ""
+        traj = json.loads(out)["trajectories"][0]
+        assert traj["outcome"]["kind"] == "fixed_point" and traj["steps"] == 1
+        assert traj["final_residuals"] == [0, None]
+
+    def test_single_step_budget(self, capsys):
+        code, out, _ = _run(capsys, "simulate", "--op", "13", "--a", "0.2",
+                            "--x0", "0.3,0.4,0.3", "--max-iter", "1")
+        assert code == 2
+        traj = json.loads(out)["trajectories"][0]
+        assert traj["outcome"]["kind"] == "undecided"
+        assert traj["final_residuals"][1] is None
+
+    def test_negative_seed(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--op", "13", "--a", "0.2", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be >= 0\n"
+
+    def test_seed_needs_two_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "m1.json"
+        path.write_text('{"m": 1, "P": [1]}')
+        code, out, err = _run(capsys, "simulate", "--tensor", str(path), "--seed", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "m >= 2" in err
+
+    def test_unwritable_outputs(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "x.json"
+        code, out, err = _run(capsys, "simulate", "--op", "25", "--a", "0.3",
+                              "--x0", "0.2,0.4,0.4", "--out", str(missing))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {missing}")
+        (tmp_path / "x.csv").mkdir()  # the JSON file can be written, the CSV cannot
+        code, _, err = _run(capsys, "simulate", "--op", "25", "--a", "0.3",
+                            "--x0", "0.2,0.4,0.4", "--out", str(tmp_path / "x.json"),
+                            "--format", "csv")
+        assert code == 1
+        assert err.startswith(f"error: cannot write {tmp_path / 'x.csv'}")
+
     def test_emitted_points_reparse_as_simplex_points(self, capsys):
         from qsodyn.simplex import SimplexPoint
 
@@ -207,6 +248,19 @@ class TestVerify:
             assert code == 1 and out == ""
             assert err.startswith("error:")
 
+    def test_negative_seed(self, capsys):
+        code, out, err = _run(capsys, "verify", "--op", "28", "--a", "0.3",
+                              "--seeds", "3", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be >= 0\n"
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "v.json"
+        code, _, err = _run(capsys, "verify", "--op", "28", "--a", "0.3",
+                            "--seeds", "3", "--out", str(missing))
+        assert code == 1
+        assert err.startswith(f"error: cannot write {missing}")
+
     def test_uncovered_parameter(self, capsys):
         code, _, err = _run(capsys, "verify", "--op", "4", "--a", "0.2",
                             "--seeds", "5")
@@ -248,6 +302,14 @@ class TestTensor:
         report = json.loads(out)
         assert report["valid"] is False
         assert report["violations"] == ["P(1, 1, 2) = nan is not finite"]
+
+
+    def test_empty_tensor_file(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"m": 0, "P": []}')
+        code, out, err = _run(capsys, "tensor", "--tensor", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad tensor file")
 
 
 class TestDeterminism:

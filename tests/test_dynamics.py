@@ -13,6 +13,7 @@ from qsodyn.dynamics import (
     CYCLE_PARAM_SUP,
     PointSet,
     _limit_table,
+    _run_case,
     edge_fixed_height,
     fixed_points_exact,
     fixed_points_numeric,
@@ -137,6 +138,12 @@ class TestOmegaLimit:
                               tol=1e-9)
         d1, d2 = report2.final_residuals
         assert d2 <= 1e-9 and d1 > 1e-8
+
+    def test_two_step_residual_is_null_in_json_at_step_one(self):
+        report = omega_limit(operator_tensor(13, 0.2), E2)
+        assert report.outcome.kind == "fixed_point" and report.steps == 1
+        assert report.final_residuals == (0.0, math.inf)
+        assert report.to_json_dict()["final_residuals"] == [0.0, None]
 
     def test_thinning_keeps_final(self):
         report = omega_limit(operator_tensor(25, 0.45), SimplexPoint((0.01, 0.54, 0.45)))
@@ -462,3 +469,106 @@ class TestLimitTable:
     def test_verifier_rejects_bad_budget(self, kwargs):
         with pytest.raises(ValueError):
             verify_predictions(28, (0.3,), seeds=3, **kwargs)
+
+
+def _scalar_orbits_reference(a, xs, tol, max_iter):
+    """The scalar-map orbit loop as it stood before the shared batch loop:
+    (largest step at which an orbit finished, number of orbits still running)."""
+    target = 0.0 if a < 0.5 else 1.0
+    orbit = xs[(xs > 0.0) & (xs < 1.0)].copy()
+    remaining = np.arange(orbit.size)
+    steps = 0
+    max_steps = 0
+    while remaining.size and steps < max_iter:
+        steps += 1
+        orbit = orbit * orbit + 2.0 * a * orbit * (1.0 - orbit)
+        done = np.abs(orbit - target) <= tol
+        if np.any(done):
+            max_steps = steps
+            orbit = orbit[~done]
+            remaining = remaining[~done]
+    return max_steps, remaining.size
+
+
+def _run_case_reference(T, X0, kind, targets, tol, max_iter):
+    """The batch loop of _run_case as it stood before the shared batch loop."""
+    n = X0.shape[0]
+    P1 = np.array([pts[0].coords for pts in targets])
+    P2 = np.array([pts[-1].coords for pts in targets]) if kind == "cycle" else None
+
+    steps = np.full(n, -1, dtype=np.int64)
+    final = np.full(n, np.inf)
+    idx = np.arange(n)
+    X = X0.copy()
+    t = 0
+    while idx.size and t < max_iter:
+        t += 1
+        nxt = apply_array(T, X)
+        if kind == "point":
+            d = np.abs(nxt - P1).sum(axis=1)
+        else:
+            dc1 = np.abs(nxt - P1).sum(axis=1)
+            dc2 = np.abs(nxt - P2).sum(axis=1)
+            dp1 = np.abs(X - P1).sum(axis=1)
+            dp2 = np.abs(X - P2).sum(axis=1)
+            d = np.minimum(np.maximum(dc1, dp2), np.maximum(dc2, dp1))
+        done = d <= tol
+        if np.any(done):
+            steps[idx[done]] = t
+            final[idx[done]] = d[done]
+            keep = ~done
+            idx = idx[keep]
+            X = nxt[keep]
+            P1 = P1[keep]
+            if P2 is not None:
+                P2 = P2[keep]
+        else:
+            X = nxt
+        if t == max_iter and idx.size:
+            final[idx] = d[~done] if np.any(done) else d
+    return steps, final
+
+
+class TestBatchLoopMatchesReference:
+    @pytest.mark.parametrize("a", [0.1, 0.2, 0.45, 0.55, 0.8, 0.95])
+    @pytest.mark.parametrize("max_iter", [10 ** 5, 20, 1])
+    def test_scalar_map_report_steps(self, a, max_iter):
+        xs = np.linspace(0.0, 1.0, 101)
+        report = scalar_map_report(a, tol=1e-9, max_iter=max_iter)
+        max_steps, missed = _scalar_orbits_reference(a, xs, 1e-9, max_iter)
+        assert report.orbit_max_steps == max_steps
+        assert report.orbits_converged == (missed == 0)
+        assert any(str(missed) in f for f in report.failures) == (missed > 0)
+
+    def test_scalar_map_report_without_interior_grid(self):
+        report = scalar_map_report(0.2, grid=[0.0, 1.0])
+        assert report.orbits_converged and report.orbit_max_steps == 0
+
+    # (op, a, branch index, rows, tol): point and cycle targets, vertices and curves.
+    CASES = [
+        (13, 0.2, 0, 40, 1e-6),
+        (25, 0.8, 0, 40, 1e-6),
+        (28, 0.3, 0, 40, 1e-6),  # x1(0) = 0 -> cycle {e2, e3}
+        (4, 0.8, 1, 40, 1e-6),  # x1(0) = 0 -> cycle {e2, e3}
+        (13, 0.5, 0, 12, 1e-4),  # continuum point targets
+        (4, 0.5, 0, 12, 1e-4),  # continuum cycle targets
+    ]
+
+    @pytest.mark.parametrize("op_id,a,branch_idx,rows,tol", CASES)
+    def test_run_case_bitwise(self, op_id, a, branch_idx, rows, tol):
+        table = _limit_table(op_id, a)
+        branch = table.branches[branch_idx]
+        rng = np.random.default_rng([op_id, branch_idx, 3])
+        X0 = np.array([branch.draw(rng) for _ in range(rows)])
+        targets = [branch.target(x) for x in X0]
+        T = operator_tensor(op_id, a)
+        ref_steps, ref_dist = _run_case_reference(T, X0, branch.kind, targets, tol, 10 ** 6)
+        assert (ref_steps > 0).all()
+        # The slowest row runs alone for its last steps: the one-row kernel is exercised.
+        slowest, runner_up = np.sort(ref_steps)[-1], np.sort(ref_steps)[-2]
+        assert slowest > runner_up
+        for max_iter in (10 ** 6, int(np.median(ref_steps)), int(slowest) - 1, 1):
+            ref = _run_case_reference(T, X0, branch.kind, targets, tol, max_iter)
+            got = _run_case(T, X0, branch.kind, targets, tol, max_iter)
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])

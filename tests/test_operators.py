@@ -5,6 +5,7 @@ import pytest
 
 from qsodyn.catalog import operator_tensor
 from qsodyn.operators import (
+    EllVolterraStructure,
     HeredityTensor,
     apply,
     apply_array,
@@ -33,6 +34,12 @@ class TestConstruction:
     def test_from_rows_missing(self):
         with pytest.raises(ValueError):
             HeredityTensor.from_rows(3, {(1, 1): (1, 0, 0)})
+
+    def test_empty_tensor_rejected(self):
+        with pytest.raises(ValueError):
+            HeredityTensor.from_json('{"m": 0, "P": []}')
+        with pytest.raises(ValueError):
+            HeredityTensor(np.zeros((0, 0, 0)))
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -270,3 +277,65 @@ class TestPermutedStructure:
         assert structure_label(operator_tensor(28, 0.3))["kind"] == "permuted_volterra"
         assert structure_label(operator_tensor(4, 0.3))["kind"] == "permuted_ell_volterra"
         assert structure_label(operator_tensor(7, 0.3))["kind"] == "none"
+
+
+# The Volterra scans as they stood before the single witness scan: one loop
+# per question, and relabeled tensors for the permuted search.
+def _is_volterra_reference(T, tol):
+    P, m = T.table, T.m
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                if k != i and k != j and P[i, j, k] > tol:
+                    return False
+    return True
+
+
+def _ell_volterra_reference(T, tol):
+    P, m = T.table, T.m
+    vol, wit = set(), {}
+    for k in range(m):
+        pair = None
+        for i in range(m):
+            if pair is not None:
+                break
+            for j in range(i, m):
+                if i != k and j != k and P[i, j, k] > tol:
+                    pair = (i + 1, j + 1)
+                    break
+        if pair is None:
+            vol.add(k + 1)
+        else:
+            wit[k + 1] = pair
+    return EllVolterraStructure(frozenset(vol), wit, len(vol))
+
+
+def _permuted_reference(T, tol):
+    best = None
+    for tau in Permutation.all_perms(T.m):
+        structure = _ell_volterra_reference(relabel_outputs(T, tau), tol)
+        if best is None or structure.ell > best[1].ell:
+            best = (tau, structure)
+    if best is None or best[1].ell == 0:
+        return None
+    return best
+
+
+class TestWitnessScanMatchesReference:
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.4])
+    def test_all_catalog_operators(self, tol):
+        perms = Permutation.all_perms(3)
+        found = set()
+        for op_id in range(1, 37):
+            for a in (0.0, 0.3, 0.5, 0.7, 1.0):
+                T = operator_tensor(op_id, a)
+                for tau in perms:
+                    W = relabel_outputs(T, tau)
+                    expected = _ell_volterra_reference(W, tol)
+                    assert ell_volterra_structure(W, tol) == expected
+                    assert is_volterra(W, tol) == _is_volterra_reference(W, tol)
+                    found.add(expected.ell)
+                expected = _permuted_reference(T, tol)
+                assert permuted_ell_volterra(T, tol) == expected
+                found.add(expected[1].ell if expected else None)
+        assert found >= {0, 1, 2, 3, None}  # every ell occurs, and so does "no relabeling"
