@@ -9,6 +9,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -233,8 +234,8 @@ def _cmd_simulate(args) -> int:
     tol = args.tol if args.tol is not None else (BALANCED_TOL if balanced else DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else (
         BALANCED_MAX_ITER if balanced else DEFAULT_MAX_ITER)
-    if not tol > 0:
-        raise UsageError("--tol must be positive")
+    if not 0 < tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
     if max_iter < 1:
         raise UsageError("--max-iter must be >= 1")
 
@@ -277,6 +278,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--seeds must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
     try:
         reports = verify_predictions(
             args.op, a_values, seeds=args.seeds, tol=args.tol,

@@ -219,8 +219,8 @@ def omega_limit(
     batch. And one orbit run through the batch loop with a vectorized stop
     test took 8.3-9.9 us per step against 5.6-6.6 us here.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     cur = x0.coords
@@ -297,7 +297,7 @@ def slice_fixed_height(b: float) -> float:
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"slice parameter {b} outside [0, 1]")
-    return (3.0 - 2.0 * b - math.sqrt(4.0 * b * b - 8.0 * b + 5.0)) / 2.0
+    return float(_fixed_heights(b))
 
 
 def slice_cycle_heights(c: float) -> tuple[float, float]:
@@ -309,9 +309,17 @@ def slice_cycle_heights(c: float) -> tuple[float, float]:
     """
     if not 0.0 <= c <= CYCLE_PARAM_SUP + 1e-15:
         raise ValueError(f"slice parameter {c} outside [0, {CYCLE_PARAM_SUP}]")
-    disc = max(4.0 * c * c - 8.0 * c + 1.0, 0.0)
-    r = math.sqrt(disc)
-    return ((1.0 - 2.0 * c - r) / 2.0, (1.0 - 2.0 * c + r) / 2.0)
+    return float(_cycle_heights(c, -1.0)), float(_cycle_heights(c, 1.0))
+
+
+def _fixed_heights(b):
+    """slice_fixed_height for a float or an array, without the range check."""
+    return (3.0 - 2.0 * b - np.sqrt(4.0 * b * b - 8.0 * b + 5.0)) / 2.0
+
+
+def _cycle_heights(c, sign: float):
+    """The low (sign -1) or high (sign +1) slice cycle height of a float or an array."""
+    return (1.0 - 2.0 * c + sign * np.sqrt(np.maximum(4.0 * c * c - 8.0 * c + 1.0, 0.0))) / 2.0
 
 
 def edge_fixed_height(a: float) -> float:
@@ -332,14 +340,23 @@ def edge_fixed_height(a: float) -> float:
 
 @dataclass(frozen=True)
 class CurveFamily:
-    """A one-parameter family of simplex points, e.g. a curve of fixed points."""
+    """A one-parameter family of simplex points, e.g. a curve of fixed points.
+
+    `coords` maps n parameters in [lo, hi] to the (n, 3) array of their
+    points; on a `straight` family it is affine in the parameter."""
 
     label: str
     lo: float
     hi: float
-    point_at: Callable[[float], SimplexPoint]
+    coords: Callable[[np.ndarray], np.ndarray]
     include_hi: bool = True
     exclude_params: tuple[float, ...] = ()
+    straight: bool = False
+
+    def point_at(self, t: float) -> SimplexPoint:
+        if not self.lo <= t <= self.hi:
+            raise ValueError(f"parameter {t} outside [{self.lo}, {self.hi}]")
+        return SimplexPoint(self.coords(np.array([t]))[0])
 
     def sample(self, n: int) -> list[SimplexPoint]:
         """n parameter values spread over the range (excluded values dropped)."""
@@ -349,12 +366,8 @@ class CurveFamily:
             ts = np.linspace(self.lo, self.hi, n)
         else:
             ts = self.lo + (self.hi - self.lo) * np.arange(n) / n
-        out = []
-        for t in ts:
-            if any(abs(t - e) <= 1e-12 for e in self.exclude_params):
-                continue
-            out.append(self.point_at(float(t)))
-        return out
+        keep = np.all(np.abs(np.subtract.outer(ts, self.exclude_params)) > 1e-12, axis=1)
+        return [SimplexPoint(p) for p in self.coords(ts[keep])]
 
 
 @dataclass(frozen=True)
@@ -386,29 +399,29 @@ class PointSet:
 
 
 def _curve_min_distance(curve: CurveFamily, arr: np.ndarray) -> float:
-    """Coarse scan plus golden-section refinement of the l1 distance."""
-    ts = np.linspace(curve.lo, curve.hi, 257)
-    dists = [float(np.abs(curve.point_at(float(t)).coords - arr).sum()) for t in ts]
-    i = int(np.argmin(dists))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    """l1 distance from arr to the closure of the curve, from arrays only.
 
-    def g(t: float) -> float:
-        return float(np.abs(curve.point_at(t).coords - arr).sum())
-
-    b, d = lo + (1 - phi) * (hi - lo), lo + phi * (hi - lo)
-    gb, gd = g(b), g(d)
-    for _ in range(80):
-        if gb <= gd:
-            hi, d, gd = d, b, gb
-            b = lo + (1 - phi) * (hi - lo)
-            gb = g(b)
-        else:
-            lo, b, gb = b, d, gd
-            d = lo + phi * (hi - lo)
-            gd = g(d)
-    return min(dists[i], gb, gd)
+    On a straight family the distance is convex and piecewise linear in the
+    parameter, so it is least at an end or where one coordinate of the curve
+    meets that of arr. Other families are scanned at 257 parameters, and
+    each further scan covers the two intervals around the best one so far.
+    """
+    lo, hi = curve.lo, curve.hi
+    if curve.straight:
+        ends = curve.coords(np.array([lo, hi]))
+        step = ends[1] - ends[0]
+        moving = step != 0.0
+        ts = lo + (hi - lo) * (arr[moving] - ends[0, moving]) / step[moving]
+        pts = np.vstack((ends, curve.coords(np.clip(ts, lo, hi))))
+        return float(np.abs(pts - arr).sum(axis=1).min())
+    best = math.inf
+    for _ in range(8):  # each scan narrows [lo, hi] 128-fold; 8 reach float resolution
+        ts = np.linspace(lo, hi, 257)
+        dists = np.abs(curve.coords(ts) - arr).sum(axis=1)
+        i = int(np.argmin(dists))
+        best = min(best, float(dists[i]))
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, 256)]
+    return best
 
 
 def _edge_point(zero: int, u: float) -> np.ndarray:
@@ -421,23 +434,27 @@ def _edge_point(zero: int, u: float) -> np.ndarray:
 
 def _edge_curve(zero_index: int, label: str, **kwargs) -> CurveFamily:
     """The simplex edge x_{zero_index} = 0 parameterized by the next coordinate."""
-    return CurveFamily(label, 0.0, 1.0,
-                       lambda t: SimplexPoint(_edge_point(zero_index - 1, t)), **kwargs)
+    start = _edge_point(zero_index - 1, 0.0)
+    step = _edge_point(zero_index - 1, 1.0) - start
+    return CurveFamily(label, 0.0, 1.0, lambda ts: start + ts[:, None] * step, straight=True,
+                       **kwargs)
 
 
-def _slice_point(c: float, h: float) -> SimplexPoint:
-    return SimplexPoint((c, h, 1.0 - c - h))
+def _slice_curve(label: str, hi: float, height, **kwargs) -> CurveFamily:
+    """The operator-4 family (c, height(c), 1 - c - height(c)), c in [0, hi]."""
+    def coords(cs: np.ndarray) -> np.ndarray:
+        hs = height(cs)
+        return np.stack((cs, hs, 1.0 - cs - hs), axis=1)
+
+    return CurveFamily(label, 0.0, hi, coords, **kwargs)
 
 
 # Operator 4 at a = 1/2: the slice fixed curve and the two 2-cycle branches.
-_SLICE_FIXED = CurveFamily("slice fixed curve", 0.0, 1.0,
-                           lambda b: _slice_point(b, slice_fixed_height(b)))
-_SLICE_CYCLE_LOW = CurveFamily(
-    "slice cycle, low branch", 0.0, CYCLE_PARAM_SUP,
-    lambda c: _slice_point(c, slice_cycle_heights(c)[0]), include_hi=False)
-_SLICE_CYCLE_HIGH = CurveFamily(
-    "slice cycle, high branch", 0.0, CYCLE_PARAM_SUP,
-    lambda c: _slice_point(c, slice_cycle_heights(c)[1]), include_hi=False)
+_SLICE_FIXED = _slice_curve("slice fixed curve", 1.0, _fixed_heights)
+_SLICE_CYCLE_LOW = _slice_curve("slice cycle, low branch", CYCLE_PARAM_SUP,
+                                lambda c: _cycle_heights(c, -1.0), include_hi=False)
+_SLICE_CYCLE_HIGH = _slice_curve("slice cycle, high branch", CYCLE_PARAM_SUP,
+                                 lambda c: _cycle_heights(c, 1.0), include_hi=False)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +527,7 @@ _OP4_FIXED = PointSet(points=(E1, _SLICE_FIXED.point_at(0.0)))
 def _op13_balanced(a: float) -> _LimitTable:
     edge = _edge_curve(2, "edge x2 = 0")
     line = CurveFamily("x1 = x3 segment", 0.0, 0.5,
-                       lambda t: SimplexPoint((t, 1.0 - 2.0 * t, t)))
+                       lambda ts: np.stack((ts, 1.0 - 2.0 * ts, ts), axis=1), straight=True)
     return _LimitTable(PointSet(curves=(edge, line)), PointSet(), (
         _case("x1(0) > 1/2", "(x1, 0, 1 - x1)", lambda x: x[0] > 0.5, "point",
               lambda x: (edge.point_at(float(x[0])),), continuum=True),
@@ -868,8 +885,8 @@ def verify_predictions(
     _require_analyzed(op_id)
     if seeds < 1:
         raise ValueError("need seeds >= 1")
-    if tol is not None and not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     reports = []

@@ -133,6 +133,12 @@ class TestSimulate:
             assert code == 1 and out == ""
             assert err.startswith("error:")
 
+    def test_infinite_tolerance(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--op", "13", "--a", "0.3",
+                              "--x0", "0.3,0.3,0.4", "--tol", "inf")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--tol" in err and "Traceback" not in err
+
     def test_non_finite_tensor_file(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         _run(capsys, "tensor", "--op", "25", "--a", "0.3", "--out", str(path))
@@ -241,6 +247,12 @@ class TestVerify:
                               "--seeds", "3", *flags)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+    def test_infinite_tolerance(self, capsys):
+        code, out, err = _run(capsys, "verify", "--op", "13", "--a", "0.3",
+                              "--seeds", "2", "--tol", "inf")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--tol" in err and "Traceback" not in err
 
     def test_bad_parameter(self, capsys):
         for a in ("nan", "1.5"):

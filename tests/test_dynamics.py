@@ -145,6 +145,11 @@ class TestOmegaLimit:
         assert report.final_residuals == (0.0, math.inf)
         assert report.to_json_dict()["final_residuals"] == [0.0, None]
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_tolerance_outside_open_positive_range(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            omega_limit(operator_tensor(13, 0.3), SimplexPoint((0.3, 0.3, 0.4)), tol=tol)
+
     def test_thinning_keeps_final(self):
         report = omega_limit(operator_tensor(25, 0.45), SimplexPoint((0.01, 0.54, 0.45)))
         steps = [s for s, _ in report.iterates_kept]
@@ -398,6 +403,11 @@ class TestVerifier:
         a = verify_predictions(25, (0.2,), seeds=10)[0].to_json_dict()
         b = verify_predictions(25, (0.2,), seeds=10)[0].to_json_dict()
         assert a == b
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_tolerance_outside_open_positive_range(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_predictions(13, (0.3,), seeds=2, tol=tol)
 
     def test_exclusion_respected(self):
         (report,) = verify_predictions(28, (0.3,), seeds=25)
