@@ -11,7 +11,7 @@ catalog onto itself and induces the pairing of entries into conjugacy classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -248,14 +248,23 @@ def coefficient_distance(T1: HeredityTensor, T2: HeredityTensor) -> float:
     return float(np.max(np.abs(T1.table - T2.table)))
 
 
+def _conjugates(tables: np.ndarray) -> np.ndarray:
+    """Every relabeling Q[i,j,k] = P[p(i),p(j),p(k)] of a stack (..., m, m, m).
+
+    The relabelings lie along a new axis -4, in Permutation.all_perms(m) order.
+    """
+    m = tables.shape[-1]
+    idx = np.array([p.image for p in Permutation.all_perms(m)]) - 1
+    return tables[..., idx[:, :, None, None], idx[:, None, :, None], idx[:, None, None, :]]
+
+
 def are_conjugate(T1: HeredityTensor, T2: HeredityTensor, tol: float = 1e-12) -> Optional[Permutation]:
     """First permutation (lexicographic) carrying T1 onto T2 within tol, if any."""
     if T1.m != T2.m:
         raise ValueError("dimension mismatch")
-    for p in Permutation.all_perms(T1.m):
-        if coefficient_distance(conjugate(T1, p), T2) <= tol:
-            return p
-    return None
+    dist = np.abs(_conjugates(T1.table) - T2.table).max(axis=(-3, -2, -1))
+    hits = np.flatnonzero(dist <= tol)
+    return Permutation.all_perms(T1.m)[hits[0]] if hits.size else None
 
 
 #: Conjugacy classes of the catalog families. Pairs are related by the
@@ -271,25 +280,6 @@ REFERENCE_CLASSES: tuple[frozenset[int], ...] = (
 )
 
 
-def _classes_from_edges(edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
-    parent = list(range(37))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for n, m_ in edges:
-        rn, rm = find(n), find(m_)
-        if rn != rm:
-            parent[max(rn, rm)] = min(rn, rm)
-    groups: dict[int, list[int]] = {}
-    for n in range(1, 37):
-        groups.setdefault(find(n), []).append(n)
-    return sorted(tuple(sorted(v)) for v in groups.values())
-
-
 def classify_catalog(a: float, tol: float = 1e-12, merge_mirror: bool = True) -> list[tuple[int, ...]]:
     """Conjugacy classes of the 36 catalog entries at parameter a.
 
@@ -302,18 +292,16 @@ def classify_catalog(a: float, tol: float = 1e-12, merge_mirror: bool = True) ->
 
     Returns the partition of {1..36} as a sorted list of sorted tuples.
     """
-    tensors = {n: operator_tensor(n, a) for n in range(1, 37)}
-    mirrored = {n: operator_tensor(n, 1.0 - a) for n in range(1, 37)} if merge_mirror else {}
-    edges: list[tuple[int, int]] = []
-    for n in range(1, 37):
-        for p in Permutation.all_perms(3):
-            Q = conjugate(tensors[n], p)
-            for m_ in range(1, 37):
-                if coefficient_distance(Q, tensors[m_]) <= tol:
-                    edges.append((n, m_))
-                elif merge_mirror and coefficient_distance(Q, mirrored[m_]) <= tol:
-                    edges.append((n, m_))
-    return _classes_from_edges(edges)
+    params = (a, 1.0 - a) if merge_mirror else (a,)
+    stacks = np.array([[operator_tensor(n, b).table for n in range(1, 37)] for b in params])
+    # dist[s, n, p, k]: max-norm distance from entry n relabeled by p to entry k of stack s
+    diff = _conjugates(stacks[0])[None, :, :, None] - stacks[:, None, None]
+    dist = np.abs(diff, out=diff).max(axis=(-3, -2, -1))
+    linked = (dist <= tol).any(axis=(0, 2)) | np.eye(36, dtype=bool)
+    linked |= linked.T
+    for _ in range(6):  # transitive closure: paths up to length 2**6 >= 36
+        linked = linked @ linked
+    return sorted({tuple(int(k) + 1 for k in np.flatnonzero(row)) for row in linked})
 
 
 def classes_fixed_parameter(a: float, tol: float = 1e-12) -> list[tuple[int, ...]]:

@@ -71,7 +71,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--tensor", type=Path, default=None, help="tensor JSON file")
     p_sim.add_argument("--x0", type=str, default=None, help="initial point, e.g. 0.3,0.4,0.3")
     p_sim.add_argument("--seed", type=int, default=None, help="seed for sampled initial points")
-    p_sim.add_argument("--count", type=int, default=1, help="number of sampled trajectories")
+    p_sim.add_argument("--count", type=int, default=None,
+                       help="number of sampled trajectories with --seed (default 1)")
     p_sim.add_argument("--tol", type=float, default=None)
     p_sim.add_argument("--max-iter", type=int, default=None)
     p_sim.add_argument("--out", type=Path, default=None)
@@ -186,7 +187,7 @@ def _read_tensor_file(path: Path) -> HeredityTensor:
         raise UsageError(f"cannot read tensor file: {exc}") from None
     try:
         return HeredityTensor.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"bad tensor file: {exc}") from None
 
 
@@ -219,17 +220,20 @@ def _cmd_simulate(args) -> int:
     if (args.x0 is None) == (args.seed is None):
         raise UsageError("need exactly one of --x0 or --seed")
     if args.x0 is not None:
+        if args.count is not None:
+            raise UsageError("--count needs --seed; --x0 gives one trajectory")
         points = [_parse_x0(args.x0)]
         if points[0].m != T.m:
             raise UsageError(f"--x0 has {points[0].m} coordinates, tensor expects {T.m}")
     else:
         if args.seed < 0:
             raise UsageError("--seed must be >= 0")
-        if args.count < 1:
+        count = 1 if args.count is None else args.count
+        if count < 1:
             raise UsageError("--count must be >= 1")
         if T.m < 2:
             raise UsageError("--seed needs a tensor with m >= 2")
-        points = sample(T.m, args.seed, args.count)
+        points = sample(T.m, args.seed, count)
     balanced = "a" in source and regime(source["a"]) == "balanced"
     tol = args.tol if args.tol is not None else (BALANCED_TOL if balanced else DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else (
@@ -280,6 +284,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--seed must be >= 0")
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise UsageError("--tol must be positive and finite")
+    if args.max_iter is not None and args.max_iter < 1:
+        raise UsageError("--max-iter must be >= 1")
     try:
         reports = verify_predictions(
             args.op, a_values, seeds=args.seeds, tol=args.tol,

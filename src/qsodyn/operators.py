@@ -92,8 +92,12 @@ class HeredityTensor:
     @staticmethod
     def from_json(text: str) -> "HeredityTensor":
         data = json.loads(text)
-        m = int(data["m"])
-        flat = np.asarray(data["P"], dtype=np.float64)
+        m, coeffs = data["m"], data["P"]
+        if type(m) is not int:
+            raise ValueError(f"m must be a JSON integer, got {m!r}")
+        if not isinstance(coeffs, list) or not all(type(v) in (int, float) for v in coeffs):
+            raise ValueError("P must be a flat list of JSON numbers")
+        flat = np.asarray(coeffs, dtype=np.float64)
         if flat.shape != (m ** 3,):
             raise ValueError(f"expected {m ** 3} coefficients, got {flat.size}")
         return HeredityTensor(flat.reshape((m, m, m)))

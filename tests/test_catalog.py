@@ -221,6 +221,75 @@ class TestClassification:
                 assert ref in as_sets
 
 
+def _reference_are_conjugate(T1, T2, tol=1e-12):
+    """The per-permutation loop that are_conjugate replaced."""
+    for p in Permutation.all_perms(T1.m):
+        if coefficient_distance(conjugate(T1, p), T2) <= tol:
+            return p
+    return None
+
+
+def _reference_classes_from_edges(edges):
+    parent = list(range(37))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for n, m_ in edges:
+        rn, rm = find(n), find(m_)
+        if rn != rm:
+            parent[max(rn, rm)] = min(rn, rm)
+    groups = {}
+    for n in range(1, 37):
+        groups.setdefault(find(n), []).append(n)
+    return sorted(tuple(sorted(v)) for v in groups.values())
+
+
+def _reference_classify(a, tols, merge_mirror):
+    """The triple loop and union-find that classify_catalog replaced, per tol in tols."""
+    tensors = {n: operator_tensor(n, a) for n in range(1, 37)}
+    mirrored = {n: operator_tensor(n, 1.0 - a) for n in range(1, 37)} if merge_mirror else {}
+    edges = {tol: [] for tol in tols}
+    for n in range(1, 37):
+        for p in Permutation.all_perms(3):
+            Q = conjugate(tensors[n], p)
+            for m_ in range(1, 37):
+                same = coefficient_distance(Q, tensors[m_])
+                mirror = coefficient_distance(Q, mirrored[m_]) if merge_mirror else None
+                for tol in tols:
+                    if same <= tol:
+                        edges[tol].append((n, m_))
+                    elif merge_mirror and mirror <= tol:
+                        edges[tol].append((n, m_))
+    return {tol: _reference_classes_from_edges(e) for tol, e in edges.items()}
+
+
+class TestAgainstLoopReference:
+    # tol from 0.2 to 0.9 links entries by chains that need more than one
+    # squaring of the adjacency matrix to close
+    @pytest.mark.parametrize("a", (0.0, 1e-13, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
+    @pytest.mark.parametrize("merge_mirror", (True, False))
+    def test_classify_matches_loop(self, a, merge_mirror):
+        tols = (0.0, 1e-12, 0.2, 0.4, 0.6, 0.9, 1.0)
+        reference = _reference_classify(a, tols, merge_mirror)
+        for tol in tols:
+            got = classify_catalog(a, tol=tol, merge_mirror=merge_mirror)
+            assert got == reference[tol]
+            assert all(type(n) is int for c in got for n in c)
+
+    # at a = 1/2 four pairs match under two relabelings, so the first one must win
+    @pytest.mark.parametrize("a1,a2", ((0.3, 0.3), (0.3, 0.7), (0.5, 0.5)))
+    def test_are_conjugate_matches_loop(self, a1, a2):
+        first = [operator_tensor(n, a1) for n in range(1, 37)]
+        second = [operator_tensor(n, a2) for n in range(1, 37)]
+        for T1 in first:
+            for T2 in second:
+                assert are_conjugate(T1, T2) == _reference_are_conjugate(T1, T2)
+
+
 class TestPartitionMaps:
     def test_conjugating_by_swap12_lands_in_partition3(self):
         # the singleton block moves from (2,3) to (1,3)

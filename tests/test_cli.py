@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +103,18 @@ class TestSimulate:
                             "--seed", "9", "--count", "3")
         assert code == 0
         assert len(json.loads(out)["trajectories"]) == 3
+
+    @pytest.mark.parametrize("count", ("5", "0"))
+    def test_count_with_x0(self, capsys, count):
+        code, out, err = _run(capsys, "simulate", "--op", "13", "--a", "0.3",
+                              "--x0", "0.3,0.3,0.4", "--count", count)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--count" in err
+
+    def test_seed_without_count(self, capsys):
+        code, out, _ = _run(capsys, "simulate", "--op", "25", "--a", "0.3", "--seed", "9")
+        assert code == 0
+        assert len(json.loads(out)["trajectories"]) == 1
 
     def test_csv_needs_single_trajectory(self, capsys, tmp_path):
         code, _, err = _run(capsys, "simulate", "--op", "25", "--a", "0.3",
@@ -248,6 +262,12 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    def test_zero_budget_names_the_flag(self, capsys):
+        code, out, err = _run(capsys, "verify", "--op", "28", "--a", "0.3",
+                              "--seeds", "3", "--max-iter", "0")
+        assert code == 1 and out == ""
+        assert err == "error: --max-iter must be >= 1\n"
+
     def test_infinite_tolerance(self, capsys):
         code, out, err = _run(capsys, "verify", "--op", "13", "--a", "0.3",
                               "--seeds", "2", "--tol", "inf")
@@ -315,6 +335,25 @@ class TestTensor:
         assert report["valid"] is False
         assert report["violations"] == ["P(1, 1, 2) = nan is not finite"]
 
+    # '{"m": 1, "P": [1]}' is a valid tensor; the first eight cases spoil m or P
+    @pytest.mark.parametrize("text", [
+        '{"m": 1.5, "P": [1]}',
+        '{"m": "1", "P": [1]}',
+        '{"m": true, "P": [1]}',
+        '{"m": 1, "P": ["1"]}',
+        '{"m": 1, "P": [true]}',
+        '{"m": 1, "P": [null]}',
+        '{"m": 1, "P": 1}',
+        '{"m": 1, "P": [1' + "0" * 400 + ']}',
+        "[" * 100000 + "]" * 100000,
+    ], ids=("m-float", "m-string", "m-bool", "P-string", "P-bool", "P-null", "P-scalar",
+            "P-huge-int", "deep-nesting"))
+    def test_malformed_tensor_file(self, capsys, tmp_path, text):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, "tensor", "--tensor", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad tensor file")
 
     def test_empty_tensor_file(self, capsys, tmp_path):
         path = tmp_path / "t.json"
@@ -342,3 +381,17 @@ class TestDeterminism:
                               "--seeds", "6", "--out", str(path))
             assert code == 0
         assert a_path.read_bytes() == b_path.read_bytes()
+
+
+    @pytest.mark.parametrize("argv", [
+        (command, "--a", repr(a)) + extra
+        for a in (0.1, 0.3, 0.7, 0.9)
+        for command, extra in (("catalog", ()), ("classify", ()), ("classify", ("--strict",)))
+    ])
+    def test_seed_free_outputs_match_recorded_digests(self, capsys, argv):
+        # these paths make no BLAS call, so the bytes do not depend on the BLAS build
+        golden = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["cli " + " ".join(argv)]
