@@ -202,6 +202,8 @@ def _catalog_tensor(op: int, a: float) -> HeredityTensor:
 def _load_tensor(args) -> tuple[HeredityTensor, dict]:
     if (args.tensor is None) == (args.op is None):
         raise UsageError("need exactly one input source: --op with --a, or --tensor")
+    if args.tensor is not None and args.a is not None:
+        raise UsageError("--a goes with --op; a tensor file carries its own coefficients")
     if args.tensor is not None:
         T = _read_tensor_file(args.tensor)
         report = validate(T)
@@ -242,6 +244,11 @@ def _cmd_simulate(args) -> int:
         raise UsageError("--tol must be positive and finite")
     if max_iter < 1:
         raise UsageError("--max-iter must be >= 1")
+    if args.format == "csv":
+        if len(points) != 1:
+            raise UsageError("CSV export needs exactly one trajectory")
+        if args.out is None:
+            raise UsageError("CSV export needs --out to name the files")
 
     reports = [omega_limit(T, x0, tol=tol, max_iter=max_iter) for x0 in points]
     payload = {
@@ -253,12 +260,7 @@ def _cmd_simulate(args) -> int:
     }
     _emit_json(payload, args.out)
     if args.format == "csv":
-        if len(reports) != 1:
-            raise UsageError("CSV export needs exactly one trajectory")
-        if args.out is None:
-            raise UsageError("CSV export needs --out to name the files")
-        csv_path = args.out.with_suffix(".csv")
-        _write(csv_path, trajectory_csv(reports[0]))
+        _write(args.out.with_suffix(".csv"), trajectory_csv(reports[0]))
     return 0 if all(r.outcome.kind != "undecided" for r in reports) else 2
 
 
@@ -303,7 +305,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    if args.tensor is not None and args.op is not None:
+    if args.tensor is not None and (args.op is not None or args.a is not None):
         raise UsageError("choose one: export with --op/--a or validate with --tensor")
     if args.tensor is not None:
         T = _read_tensor_file(args.tensor)

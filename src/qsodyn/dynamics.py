@@ -116,6 +116,8 @@ def scalar_map_report(
     if side == "balanced":
         raise ValueError("a = 1/2 gives the identity map; nothing to audit")
     xs = np.asarray(grid if grid is not None else np.linspace(0.0, 1.0, 101), dtype=float)
+    if not xs.size or not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError("grid must hold at least one value, all in [0, 1]")
     xs = np.sort(xs)
     failures: list[str] = []
 
@@ -424,20 +426,20 @@ def _curve_min_distance(curve: CurveFamily, arr: np.ndarray) -> float:
     return best
 
 
-def _edge_point(zero: int, u: float) -> np.ndarray:
-    """The point of the edge x[zero] = 0 (0-based) with u, 1 - u on the other two coordinates."""
-    p = np.zeros(3)
+def _edge_points(zero: int, us) -> np.ndarray:
+    """Points of the edge x[zero] = 0 (0-based) with u, 1 - u on the other two coordinates:
+    shape (3,) for a scalar u, (n, 3) for n values."""
+    us = np.asarray(us, dtype=float)
+    p = np.zeros(us.shape + (3,))
     i, j = (1, 2) if zero == 0 else (0, 3 - zero)
-    p[i], p[j] = u, 1.0 - u
+    p[..., i], p[..., j] = us, 1.0 - us
     return p
 
 
 def _edge_curve(zero_index: int, label: str, **kwargs) -> CurveFamily:
     """The simplex edge x_{zero_index} = 0 parameterized by the next coordinate."""
-    start = _edge_point(zero_index - 1, 0.0)
-    step = _edge_point(zero_index - 1, 1.0) - start
-    return CurveFamily(label, 0.0, 1.0, lambda ts: start + ts[:, None] * step, straight=True,
-                       **kwargs)
+    return CurveFamily(label, 0.0, 1.0, lambda ts: _edge_points(zero_index - 1, ts),
+                       straight=True, **kwargs)
 
 
 def _slice_curve(label: str, hi: float, height, **kwargs) -> CurveFamily:
@@ -497,7 +499,7 @@ def _on_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
     """x_i(0) = 0 -> a vertex or a 2-cycle of vertices; starts drawn on that edge."""
     return _case(f"x{i}(0) = 0", target_text, lambda x: x[i - 1] <= ZERO_TOL,
                  "cycle" if len(points) == 2 else "point", lambda x: points,
-                 draw=lambda rng: _edge_point(i - 1, rng.random()))
+                 draw=lambda rng: _edge_points(i - 1, rng.random()))
 
 
 @dataclass(frozen=True)
@@ -548,7 +550,7 @@ def _op4_balanced(a: float) -> _LimitTable:
 
 
 def _op28_fixed(a: float) -> PointSet:
-    return PointSet(points=(E1, SimplexPoint(_edge_point(0, edge_fixed_height(a)))))
+    return PointSet(points=(E1, SimplexPoint(_edge_points(0, edge_fixed_height(a)))))
 
 
 def _op28_off_balance(a: float) -> _LimitTable:
@@ -626,24 +628,23 @@ def fixed_points_numeric(
 ) -> list[SimplexPoint]:
     """Fixed points found from scratch, independently of any closed form.
 
-    Seeds a barycentric grid of resolution grid_n, runs the damped iteration
-    x <- x + (V(x) - x) / 2 from every seed (damping turns 2-cycles into
-    transients and stabilizes moderately repelling fixed points), checks the
-    three vertices directly, and bisects the 1-d fixed-point equations along
-    invariant edges to catch boundary roots repelling in every damped
-    direction. Results are deduplicated with l1 radius 10 * refine_tol and
-    reported sorted lexicographically.
+    Seeds a barycentric grid of resolution grid_n (the three vertices
+    included), runs the damped iteration x <- x + (V(x) - x) / 2 from every
+    seed (damping turns 2-cycles into transients and stabilizes moderately
+    repelling fixed points; a fixed vertex takes steps of exactly 0), and
+    bisects the 1-d fixed-point equations along invariant edges to catch
+    boundary roots repelling in every damped direction. Candidates with
+    residual <= refine_tol are deduplicated with l1 radius 10 * refine_tol,
+    lowest residual first, and reported sorted lexicographically.
     """
     if T.m != 3:
         raise ValueError("the oracle is implemented for the 2-simplex (m = 3)")
     if grid_n < 10:
         raise ValueError("need grid_n >= 10")
 
-    seeds = []
-    for i in range(grid_n + 1):
-        for j in range(grid_n + 1 - i):
-            seeds.append((i / grid_n, j / grid_n, (grid_n - i - j) / grid_n))
-    X = np.array(seeds, dtype=float)
+    r = np.arange(grid_n + 1)
+    i, j = np.nonzero(np.add.outer(r, r) <= grid_n)
+    X = np.stack((i, j, grid_n - i - j), axis=1) / grid_n
     X = X / X.sum(axis=1, keepdims=True)
 
     # The whole batch stops at once, not row by row as in `_iterate_until`:
@@ -656,64 +657,41 @@ def fixed_points_numeric(
         if np.max(np.abs(step).sum(axis=1)) < 0.1 * refine_tol:
             break
 
+    X = np.vstack((X, _edge_roots(T, refine_tol)))
     residuals = np.abs(apply_array(T, X) - X).sum(axis=1)
-    candidates = [(float(residuals[i]), X[i]) for i in range(X.shape[0])
-                  if residuals[i] <= refine_tol]
+    keep = residuals <= refine_tol
+    X, residuals = X[keep], residuals[keep]
 
-    for i in range(1, 4):
-        v = vertex(i, 3).coords
-        r = float(np.abs(apply_array(T, v) - v).sum())
-        if r <= refine_tol:
-            candidates.append((r, v))
-
-    candidates.extend(_edge_fixed_candidates(T, refine_tol))
-
-    accepted: list[np.ndarray] = []
-    for _, arr in sorted(candidates, key=lambda c: (c[0], tuple(c[1]))):
-        if all(float(np.abs(arr - b).sum()) > 10.0 * refine_tol for b in accepted):
-            accepted.append(arr)
-    accepted.sort(key=lambda arr: tuple(arr))
-    return [SimplexPoint(arr) for arr in accepted]
+    accepted = X[:0]
+    for arr in X[np.lexsort((X[:, 2], X[:, 1], X[:, 0], residuals))]:
+        if np.all(np.abs(accepted - arr).sum(axis=1) > 10.0 * refine_tol):
+            accepted = np.vstack((accepted, arr))
+    return [SimplexPoint(arr) for arr in accepted[np.lexsort(accepted.T[::-1])]]
 
 
-def _edge_fixed_candidates(T: HeredityTensor, refine_tol: float) -> list[tuple[float, np.ndarray]]:
-    """Bisection roots of the edge-restricted fixed-point equations."""
-    out: list[tuple[float, np.ndarray]] = []
+def _edge_roots(T: HeredityTensor, refine_tol: float) -> np.ndarray:
+    """Candidate roots of the fixed-point equation on each invariant edge, as rows:
+    the 1025-point scan's near-zero values, then the bisection of each sign change."""
+    us = np.linspace(0.0, 1.0, 1025)
+    out = [np.empty((0, 3))]
     for zero in range(3):
-        free = 1 if zero == 0 else 0  # the coordinate _edge_point sets to u
-        probe = np.linspace(0.0, 1.0, 33)
-        if max(float(apply_array(T, _edge_point(zero, u))[zero]) for u in probe) > ZERO_TOL:
+        free = 1 if zero == 0 else 0  # the coordinate _edge_points sets to u
+        V = apply_array(T, _edge_points(zero, us))
+        if V[:, zero].max() > ZERO_TOL:
             continue  # edge not invariant; no boundary roots to recover here
-
-        def f(u: float) -> float:
-            return float(apply_array(T, _edge_point(zero, u))[free]) - u
-
-        us = np.linspace(0.0, 1.0, 1025)
-        vals = np.array([f(u) for u in us])
-        for u, val in zip(us, vals):
-            if abs(val) <= refine_tol:
-                p = _edge_point(zero, float(u))
-                out.append((float(np.abs(apply_array(T, p) - p).sum()), p))
-        for i in range(len(us) - 1):
-            if vals[i] == 0.0 or vals[i] * vals[i + 1] > 0.0:
-                continue
-            lo, hi = float(us[i]), float(us[i + 1])
-            flo = vals[i]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            p = _edge_point(zero, 0.5 * (lo + hi))
-            r = float(np.abs(apply_array(T, p) - p).sum())
-            if r <= refine_tol:
-                out.append((r, p))
-    return out
+        vals = V[:, free] - us
+        k = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] <= 0.0))
+        lo, hi, flo = us[k], us[k + 1], vals[k]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            fm = apply_array(T, _edge_points(zero, mid))[:, free] - mid
+            # An exact zero collapses the bracket to lo = hi = mid, which later rounds keep.
+            left = flo * fm < 0.0
+            hi = np.where(left | (fm == 0.0), mid, hi)
+            lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+        out += [_edge_points(zero, us[np.abs(vals) <= refine_tol]),
+                _edge_points(zero, 0.5 * (lo + hi))]
+    return np.vstack(out)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,28 @@ class TestSimulate:
         assert code == 1
         assert "CSV" in err
 
+    def test_csv_without_out_writes_nothing(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--op", "13", "--a", "0.2",
+                              "--x0", "0.3,0.4,0.3", "--format", "csv")
+        assert code == 1 and out == ""
+        assert err == "error: CSV export needs --out to name the files\n"
+
+    def test_csv_with_many_trajectories_writes_nothing(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "simulate", "--op", "13", "--a", "0.2",
+                              "--seed", "1", "--count", "2", "--format", "csv",
+                              "--out", str(tmp_path / "x.json"))
+        assert code == 1 and out == ""
+        assert err == "error: CSV export needs exactly one trajectory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_with_tensor_file(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        _run(capsys, "tensor", "--op", "13", "--a", "0.2", "--out", str(path))
+        code, out, err = _run(capsys, "simulate", "--tensor", str(path), "--a", "0.5",
+                              "--x0", "0.3,0.4,0.3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--a" in err
+
     def test_requires_one_source(self, capsys):
         code, _, _ = _run(capsys, "simulate", "--x0", "0.3,0.4,0.3")
         assert code == 1
@@ -354,6 +376,13 @@ class TestTensor:
         code, out, err = _run(capsys, "tensor", "--tensor", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: bad tensor file")
+
+    def test_validate_rejects_a(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        _run(capsys, "tensor", "--op", "25", "--a", "0.3", "--out", str(path))
+        code, out, err = _run(capsys, "tensor", "--tensor", str(path), "--a", "0.7")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
     def test_empty_tensor_file(self, capsys, tmp_path):
         path = tmp_path / "t.json"

@@ -12,6 +12,7 @@ from qsodyn.dynamics import (
     ANALYZED_OPS,
     CYCLE_PARAM_SUP,
     PointSet,
+    _edge_roots,
     _limit_table,
     _run_case,
     edge_fixed_height,
@@ -30,8 +31,8 @@ from qsodyn.dynamics import (
     trajectory_csv,
     verify_predictions,
 )
-from qsodyn.operators import apply, apply_array
-from qsodyn.simplex import SimplexPoint, l1_distance, sample, vertex
+from qsodyn.operators import HeredityTensor, apply, apply_array
+from qsodyn.simplex import ZERO_TOL, SimplexPoint, l1_distance, sample, vertex
 
 E1, E2, E3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
 GOLDEN_CONJ = (3 - math.sqrt(5)) / 2  # 0.381966...
@@ -78,6 +79,15 @@ class TestScalarMap:
     def test_report_rejects_identity(self):
         with pytest.raises(ValueError):
             scalar_map_report(0.5)
+
+    @pytest.mark.parametrize("bad", (-0.1, 1.1, math.nan, math.inf))
+    def test_report_rejects_grid_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError):
+            scalar_map_report(0.2, grid=[0.5, bad])
+
+    def test_report_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            scalar_map_report(0.2, grid=[])
 
 
 class TestIterate:
@@ -289,6 +299,124 @@ class TestExactSets:
         d = line.min_l1_distance(np.array((0.1, 0.45, 0.45)))
         assert d == pytest.approx(0.2, abs=1e-9)
         assert PointSet().is_empty
+
+
+def _edge_point_reference(zero, u):
+    p = np.zeros(3)
+    i, j = (1, 2) if zero == 0 else (0, 3 - zero)
+    p[i], p[j] = u, 1.0 - u
+    return p
+
+
+def _edge_candidates_reference(T, refine_tol):
+    """(residual, point) of each edge scan hit and bisection root, one kernel row at a time."""
+    out = []
+    for zero in range(3):
+        free = 1 if zero == 0 else 0
+        probe = np.linspace(0.0, 1.0, 33)
+        if max(float(apply_array(T, _edge_point_reference(zero, u))[zero])
+               for u in probe) > ZERO_TOL:
+            continue
+
+        def f(u):
+            return float(apply_array(T, _edge_point_reference(zero, u))[free]) - u
+
+        us = np.linspace(0.0, 1.0, 1025)
+        vals = np.array([f(u) for u in us])
+        for u, val in zip(us, vals):
+            if abs(val) <= refine_tol:
+                p = _edge_point_reference(zero, float(u))
+                out.append((float(np.abs(apply_array(T, p) - p).sum()), p))
+        for i in range(len(us) - 1):
+            if vals[i] == 0.0 or vals[i] * vals[i + 1] > 0.0:
+                continue
+            lo, hi = float(us[i]), float(us[i + 1])
+            flo = vals[i]
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            p = _edge_point_reference(zero, 0.5 * (lo + hi))
+            r = float(np.abs(apply_array(T, p) - p).sum())
+            if r <= refine_tol:
+                out.append((r, p))
+    return out
+
+
+def _fixed_points_numeric_reference(T, grid_n, refine_tol=1e-10):
+    """The oracle as loops: seed double loop, vertex pass, one-row edge bisection."""
+    seeds = []
+    for i in range(grid_n + 1):
+        for j in range(grid_n + 1 - i):
+            seeds.append((i / grid_n, j / grid_n, (grid_n - i - j) / grid_n))
+    X = np.array(seeds, dtype=float)
+    X = X / X.sum(axis=1, keepdims=True)
+    for _ in range(4096):
+        V = apply_array(T, X)
+        step = 0.5 * (V - X)
+        X = X + step
+        X = X / X.sum(axis=1, keepdims=True)
+        if np.max(np.abs(step).sum(axis=1)) < 0.1 * refine_tol:
+            break
+
+    residuals = np.abs(apply_array(T, X) - X).sum(axis=1)
+    candidates = [(float(residuals[i]), X[i]) for i in range(X.shape[0])
+                  if residuals[i] <= refine_tol]
+    for i in range(1, 4):
+        v = vertex(i, 3).coords
+        r = float(np.abs(apply_array(T, v) - v).sum())
+        if r <= refine_tol:
+            candidates.append((r, v))
+
+    candidates.extend(_edge_candidates_reference(T, refine_tol))
+
+    accepted = []
+    for _, arr in sorted(candidates, key=lambda c: (c[0], tuple(c[1]))):
+        if all(float(np.abs(arr - b).sum()) > 10.0 * refine_tol for b in accepted):
+            accepted.append(arr)
+    accepted.sort(key=lambda arr: tuple(arr))
+    return [SimplexPoint(arr) for arr in accepted]
+
+
+# Edge x3 = 0 carries f(u) = (u - 3/2048)(u - 1), which floats evaluate exactly: the root
+# is the first midpoint of the scan bracket [1/1024, 2/1024], so its bisection hits f = 0.
+_DYADIC_EDGE_ROOT = HeredityTensor.from_rows(3, {
+    (1, 1): (1.0, 0.0, 0.0), (1, 2): (3 / 4096, 1 - 3 / 4096, 0.0),
+    (2, 2): (3 / 2048, 1 - 3 / 2048, 0.0), (1, 3): (0.0, 0.0, 1.0),
+    (2, 3): (0.0, 0.0, 1.0), (3, 3): (0.0, 0.0, 1.0)})
+_ORACLE_CASES = {f"op{op_id}-a{a}": operator_tensor(op_id, a)
+                 for op_id in (4, 13, 25, 28, 1, 19) for a in (0.0, 0.3, 0.5, 1.0)}
+_ORACLE_CASES["dyadic-edge-root"] = _DYADIC_EDGE_ROOT
+# An edge of fixed points leaves about 1,030 distinct candidates, which the reference's
+# pairwise dedup takes seconds over; these cases compare their edge roots only.
+_EDGE_OF_FIXED_POINTS = {"op1-a0.5", "op13-a0.5", "op25-a0.5"}
+
+
+class TestOracleMatchesReference:
+    @pytest.mark.parametrize("name", sorted(set(_ORACLE_CASES) - _EDGE_OF_FIXED_POINTS))
+    def test_points(self, name):
+        T = _ORACLE_CASES[name]
+        found = fixed_points_numeric(T, grid_n=10)
+        expected = _fixed_points_numeric_reference(T, grid_n=10)
+        assert len(found) == len(expected)
+        for p, q in zip(found, expected):
+            assert l1_distance(p, q) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_edge_roots(self, name):
+        T = _ORACLE_CASES[name]
+        roots = _edge_roots(T, 1e-10)
+        roots = roots[np.abs(apply_array(T, roots) - roots).sum(axis=1) <= 1e-10]
+        expected = [p for r, p in _edge_candidates_reference(T, 1e-10) if r <= 1e-10]
+        assert len(roots) == len(expected)
+        for p, q in zip(roots, expected):
+            assert np.abs(p - q).sum() <= 1e-12
 
 
 class TestNumericOracle:
