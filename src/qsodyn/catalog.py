@@ -258,8 +258,14 @@ def _conjugates(tables: np.ndarray) -> np.ndarray:
     return tables[..., idx[:, :, None, None], idx[:, None, :, None], idx[:, None, None, :]]
 
 
+def _check_match_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:  # a max-norm distance; 0 asks for exact matches
+        raise ValueError("tol must be finite and >= 0")
+
+
 def are_conjugate(T1: HeredityTensor, T2: HeredityTensor, tol: float = 1e-12) -> Optional[Permutation]:
     """First permutation (lexicographic) carrying T1 onto T2 within tol, if any."""
+    _check_match_tol(tol)
     if T1.m != T2.m:
         raise ValueError("dimension mismatch")
     dist = np.abs(_conjugates(T1.table) - T2.table).max(axis=(-3, -2, -1))
@@ -292,6 +298,7 @@ def classify_catalog(a: float, tol: float = 1e-12, merge_mirror: bool = True) ->
 
     Returns the partition of {1..36} as a sorted list of sorted tuples.
     """
+    _check_match_tol(tol)
     params = (a, 1.0 - a) if merge_mirror else (a,)
     stacks = np.array([[operator_tensor(n, b).table for n in range(1, 37)] for b in params])
     # dist[s, n, p, k]: max-norm distance from entry n relabeled by p to entry k of stack s

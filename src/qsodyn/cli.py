@@ -49,50 +49,94 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _domain(convert, ok, rule: str):
+    """An argparse type: a value failing ok raises UsageError(rule), which argparse
+    lets through to `main`; a failed conversion keeps argparse's own message."""
+    def parse(text):
+        value = convert(text)
+        if ok(value):
+            return value
+        raise UsageError(rule)
+
+    parse.__name__ = convert.__name__  # argparse says "invalid float value: 'x'"
+    return parse
+
+
+# Every single-flag domain, declared once.
+_A = _domain(float, lambda a: 0.0 <= a <= 1.0, "--a must lie in [0, 1]")
+_OP = _domain(int, lambda op: 1 <= op <= 36, "--op must be in 1..36")
+_TOL = _domain(float, lambda tol: 0.0 < tol < math.inf, "--tol must be positive and finite")
+_MAX_ITER = _domain(int, lambda n: n >= 1, "--max-iter must be >= 1")
+_SEED = _domain(int, lambda n: n >= 0, "--seed must be >= 0")
+_SEEDS = _domain(int, lambda n: n >= 1, "--seeds must be >= 1")
+_COUNT = _domain(int, lambda n: n >= 1, "--count must be >= 1")
+
+
+def _a_list(text: str) -> tuple[float, ...]:
+    """`verify --a`: every item is parsed before any is range-checked."""
+    try:
+        values = [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"could not parse --a {text!r}: {exc}") from None
+    return tuple(map(_A, values))
+
+
+def _parse_x0(text: str) -> SimplexPoint:
+    try:
+        coords = [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"could not parse --x0 {text!r}: {exc}") from None
+    try:
+        return SimplexPoint(coords)
+    except ValueError as exc:
+        raise UsageError(f"--x0 is not a simplex point: {exc}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qsodyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_cat = sub.add_parser("catalog", help="list the 36 catalog operators with structure tags")
-    p_cat.add_argument("--a", type=float, default=0.3, help="parameter value (default 0.3)")
+    p_cat.add_argument("--a", type=_A, default=0.3, help="parameter value (default 0.3)")
     p_cat.add_argument("--out", type=Path, default=None)
     p_cat.set_defaults(func=_cmd_catalog)
 
     p_cls = sub.add_parser("classify", help="conjugacy classes of the catalog at a parameter")
-    p_cls.add_argument("--a", type=float, required=True)
+    p_cls.add_argument("--a", type=_A, required=True)
     p_cls.add_argument("--strict", action="store_true",
                        help="only merge coefficient matches at the same parameter")
     p_cls.add_argument("--out", type=Path, default=None)
     p_cls.set_defaults(func=_cmd_classify)
 
     p_sim = sub.add_parser("simulate", help="iterate an operator and classify the orbit")
-    p_sim.add_argument("--op", type=int, default=None, help="catalog id 1..36")
-    p_sim.add_argument("--a", type=float, default=None)
+    p_sim.add_argument("--op", type=_OP, default=None, help="catalog id 1..36")
+    p_sim.add_argument("--a", type=_A, default=None)
     p_sim.add_argument("--tensor", type=Path, default=None, help="tensor JSON file")
-    p_sim.add_argument("--x0", type=str, default=None, help="initial point, e.g. 0.3,0.4,0.3")
-    p_sim.add_argument("--seed", type=int, default=None, help="seed for sampled initial points")
-    p_sim.add_argument("--count", type=int, default=None,
+    p_sim.add_argument("--x0", type=_parse_x0, default=None,
+                       help="initial point, e.g. 0.3,0.4,0.3")
+    p_sim.add_argument("--seed", type=_SEED, default=None, help="seed for sampled initial points")
+    p_sim.add_argument("--count", type=_COUNT, default=None,
                        help="number of sampled trajectories with --seed (default 1)")
-    p_sim.add_argument("--tol", type=float, default=None)
-    p_sim.add_argument("--max-iter", type=int, default=None)
+    p_sim.add_argument("--tol", type=_TOL, default=None)
+    p_sim.add_argument("--max-iter", type=_MAX_ITER, default=None)
     p_sim.add_argument("--out", type=Path, default=None)
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="check orbits against the predicted limit sets")
     p_ver.add_argument("--op", type=int, required=True, choices=sorted(ANALYZED_OPS))
-    p_ver.add_argument("--a", type=str, default=None,
+    p_ver.add_argument("--a", type=_a_list, default=None,
                        help="comma-separated parameter list (default depends on --op)")
-    p_ver.add_argument("--seeds", type=int, default=100)
-    p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--max-iter", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=7, help="base seed for initial points")
+    p_ver.add_argument("--seeds", type=_SEEDS, default=100)
+    p_ver.add_argument("--tol", type=_TOL, default=None)
+    p_ver.add_argument("--max-iter", type=_MAX_ITER, default=None)
+    p_ver.add_argument("--seed", type=_SEED, default=7, help="base seed for initial points")
     p_ver.add_argument("--out", type=Path, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ten = sub.add_parser("tensor", help="export a catalog tensor or validate a tensor file")
-    p_ten.add_argument("--op", type=int, default=None)
-    p_ten.add_argument("--a", type=float, default=None)
+    p_ten.add_argument("--op", type=_OP, default=None)
+    p_ten.add_argument("--a", type=_A, default=None)
     p_ten.add_argument("--tensor", type=Path, default=None)
     p_ten.add_argument("--out", type=Path, default=None)
     p_ten.set_defaults(func=_cmd_tensor)
@@ -124,8 +168,6 @@ DEGENERATE_PARAMS = (0.0, 0.5, 1.0)
 
 
 def _cmd_catalog(args) -> int:
-    if not 0.0 <= args.a <= 1.0:
-        raise UsageError("--a must lie in [0, 1]")
     entries = []
     for op_id in range(1, 37):
         spec = OperatorSpec.from_id(op_id, args.a)
@@ -145,12 +187,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if not 0.0 <= args.a <= 1.0:
-        raise UsageError("--a must lie in [0, 1]")
-    if args.strict:
-        classes = classes_fixed_parameter(args.a)
-    else:
-        classes = classify_catalog(args.a)
+    classes = classes_fixed_parameter(args.a) if args.strict else classify_catalog(args.a)
     degenerate = args.a in DEGENERATE_PARAMS
     if degenerate:
         comparison = "degenerate parameter"
@@ -169,17 +206,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _parse_x0(text: str) -> SimplexPoint:
-    try:
-        coords = [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"could not parse --x0 {text!r}: {exc}") from None
-    try:
-        return SimplexPoint(coords)
-    except ValueError as exc:
-        raise UsageError(f"--x0 is not a simplex point: {exc}") from None
-
-
 def _read_tensor_file(path: Path) -> HeredityTensor:
     try:
         text = path.read_text()
@@ -189,14 +215,6 @@ def _read_tensor_file(path: Path) -> HeredityTensor:
         return HeredityTensor.from_json(text)
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"bad tensor file: {exc}") from None
-
-
-def _catalog_tensor(op: int, a: float) -> HeredityTensor:
-    if not 1 <= op <= 36:
-        raise UsageError("--op must be in 1..36")
-    if not 0.0 <= a <= 1.0:
-        raise UsageError("--a must lie in [0, 1]")
-    return operator_tensor(op, a)
 
 
 def _load_tensor(args) -> tuple[HeredityTensor, dict]:
@@ -214,7 +232,7 @@ def _load_tensor(args) -> tuple[HeredityTensor, dict]:
         return T, {"tensor_file": str(args.tensor)}
     if args.a is None:
         raise UsageError("--op requires --a")
-    return _catalog_tensor(args.op, args.a), {"op": args.op, "a": args.a}
+    return operator_tensor(args.op, args.a), {"op": args.op, "a": args.a}
 
 
 def _cmd_simulate(args) -> int:
@@ -224,26 +242,17 @@ def _cmd_simulate(args) -> int:
     if args.x0 is not None:
         if args.count is not None:
             raise UsageError("--count needs --seed; --x0 gives one trajectory")
-        points = [_parse_x0(args.x0)]
-        if points[0].m != T.m:
-            raise UsageError(f"--x0 has {points[0].m} coordinates, tensor expects {T.m}")
+        if args.x0.m != T.m:
+            raise UsageError(f"--x0 has {args.x0.m} coordinates, tensor expects {T.m}")
+        points = [args.x0]
     else:
-        if args.seed < 0:
-            raise UsageError("--seed must be >= 0")
-        count = 1 if args.count is None else args.count
-        if count < 1:
-            raise UsageError("--count must be >= 1")
         if T.m < 2:
             raise UsageError("--seed needs a tensor with m >= 2")
-        points = sample(T.m, args.seed, count)
+        points = sample(T.m, args.seed, args.count or 1)
     balanced = "a" in source and regime(source["a"]) == "balanced"
     tol = args.tol if args.tol is not None else (BALANCED_TOL if balanced else DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else (
         BALANCED_MAX_ITER if balanced else DEFAULT_MAX_ITER)
-    if not 0 < tol < math.inf:
-        raise UsageError("--tol must be positive and finite")
-    if max_iter < 1:
-        raise UsageError("--max-iter must be >= 1")
     if args.format == "csv":
         if len(points) != 1:
             raise UsageError("CSV export needs exactly one trajectory")
@@ -264,30 +273,11 @@ def _cmd_simulate(args) -> int:
     return 0 if all(r.outcome.kind != "undecided" for r in reports) else 2
 
 
-_VERIFY_DEFAULT_A = {
-    13: (0.2, 0.5, 0.8),
-    4: (0.5, 0.8),
-    28: (0.3, 0.5),
-    25: (0.2, 0.5, 0.8),
-}
+_VERIFY_DEFAULT_A = {13: (0.2, 0.5, 0.8), 4: (0.5, 0.8), 28: (0.3, 0.5), 25: (0.2, 0.5, 0.8)}
 
 
 def _cmd_verify(args) -> int:
-    if args.a is None:
-        a_values = _VERIFY_DEFAULT_A[args.op]
-    else:
-        try:
-            a_values = tuple(float(part) for part in args.a.split(","))
-        except ValueError as exc:
-            raise UsageError(f"could not parse --a {args.a!r}: {exc}") from None
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
-    if args.tol is not None and not 0 < args.tol < math.inf:
-        raise UsageError("--tol must be positive and finite")
-    if args.max_iter is not None and args.max_iter < 1:
-        raise UsageError("--max-iter must be >= 1")
+    a_values = _VERIFY_DEFAULT_A[args.op] if args.a is None else args.a
     try:
         reports = verify_predictions(
             args.op, a_values, seeds=args.seeds, tol=args.tol,
@@ -320,7 +310,7 @@ def _cmd_tensor(args) -> int:
         return 0 if report.ok else 2
     if args.op is None or args.a is None:
         raise UsageError("tensor export needs --op and --a")
-    _emit(_catalog_tensor(args.op, args.a).to_json(), args.out)
+    _emit(operator_tensor(args.op, args.a).to_json(), args.out)
     return 0
 
 

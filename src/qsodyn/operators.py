@@ -85,8 +85,10 @@ class HeredityTensor:
         return cls(arr)
 
     def to_json(self) -> str:
-        """Serialize as {"m": m, "P": flat row-major (i, j, k) array}."""
-        flat = ", ".join(format(v, ".17g") for v in self._table.ravel())
+        """Serialize as {"m": m, "P": flat row-major (i, j, k) array}, with
+        non-finite entries as NaN, Infinity and -Infinity, as `from_json` reads them."""
+        flat = ", ".join(format(v, ".17g") if np.isfinite(v) else json.dumps(float(v))
+                         for v in self._table.ravel())
         return f'{{"m": {self.m}, "P": [{flat}]}}'
 
     @staticmethod

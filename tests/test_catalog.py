@@ -1,5 +1,7 @@
 """Tests for the 36-operator catalog, partitions, conjugation, classification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -174,6 +176,16 @@ class TestConjugation:
         assert are_conjugate(operator_tensor(7, 0.3), operator_tensor(10, 0.3)) is None
         T = operator_tensor(19, 0.3)
         assert are_conjugate(T, T).is_identity()
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-300])
+    def test_tolerance_outside_range_is_rejected(self, tol):
+        T = operator_tensor(13, 0.3)
+        with pytest.raises(ValueError, match="tol"):
+            are_conjugate(T, T, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            classify_catalog(0.3, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            classes_fixed_parameter(0.3, tol=tol)
 
     def test_are_conjugate_symmetric_and_transitive(self):
         a = 0.3

@@ -4,9 +4,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qsodyn.catalog import operator_tensor
 from qsodyn.cli import main
+from qsodyn.operators import HeredityTensor
 
 
 def _run(capsys, *argv):
@@ -357,6 +360,15 @@ class TestTensor:
         assert report["valid"] is False
         assert report["violations"] == ["P(1, 1, 2) = nan is not finite"]
 
+    def test_validate_exported_non_finite(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        P = np.array(operator_tensor(25, 0.3).table)
+        P[0, 0, 0] = np.nan
+        path.write_text(HeredityTensor(P).to_json())
+        code, out, err = _run(capsys, "tensor", "--tensor", str(path))
+        assert code == 2 and err == ""
+        assert "P(1, 1, 1) = nan is not finite" in json.loads(out)["violations"]
+
     # '{"m": 1, "P": [1]}' is a valid tensor; the first eight cases spoil m or P
     @pytest.mark.parametrize("text", [
         '{"m": 1.5, "P": [1]}',
@@ -390,6 +402,80 @@ class TestTensor:
         code, out, err = _run(capsys, "tensor", "--tensor", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: bad tensor file")
+
+
+# Every numeric flag of every subcommand, and --x0: values that the flag's
+# domain rejects when the command line is parsed. Each row: a valid command
+# line, the flag, the value just outside its domain.
+_FLAG_DOMAINS = [
+    (("catalog",), "--a", "1.0000000000000002"),
+    (("classify",), "--a", "-5e-324"),
+    (("simulate", "--op=13", "--a=0.3", "--seed=1"), "--op", "37"),
+    (("simulate", "--op=13", "--a=0.3", "--seed=1"), "--a", "1.0000000000000002"),
+    (("simulate", "--op=13", "--a=0.3", "--seed=1"), "--seed", "-1"),
+    (("simulate", "--op=13", "--a=0.3", "--seed=1"), "--count", "0"),
+    (("simulate", "--op=13", "--a=0.3", "--seed=1"), "--tol", "0"),
+    (("simulate", "--op=13", "--a=0.3", "--seed=1"), "--max-iter", "0"),
+    (("simulate", "--op=13", "--a=0.3"), "--x0", "0.5,0.5,1.1e-9"),
+    (("verify", "--op=28"), "--op", "5"),
+    (("verify", "--op=28"), "--a", "0.3,1.0000000000000002"),
+    (("verify", "--op=28"), "--seeds", "0"),
+    (("verify", "--op=28"), "--seed", "-1"),
+    (("verify", "--op=28"), "--tol", "-0.0"),
+    (("verify", "--op=28"), "--max-iter", "0"),
+    (("tensor", "--op=13", "--a=0.3"), "--op", "0"),
+    (("tensor", "--op=13", "--a=0.3"), "--a", "-5e-324"),
+]
+_X0_BAD = ("nan,0.5,0.5", "0.5,0.5,inf", "-inf,1,1", "a,b,c")
+
+
+@pytest.fixture
+def no_commands(monkeypatch):
+    """Make every subcommand fail the test if it runs: a rejected value must
+    stop the command line at parse time, before any work starts."""
+    import qsodyn.cli as cli
+
+    def ran(args):
+        raise AssertionError(f"{args.command} ran on a rejected value")
+
+    for name in ("_cmd_catalog", "_cmd_classify", "_cmd_simulate", "_cmd_verify", "_cmd_tensor"):
+        monkeypatch.setattr(cli, name, ran)
+
+
+class TestFlagDomains:
+    @pytest.mark.parametrize("argv,flag,outside", _FLAG_DOMAINS,
+                             ids=[f"{argv[0]}{flag}" for argv, flag, _ in _FLAG_DOMAINS])
+    def test_rejected_when_parsed(self, capsys, no_commands, argv, flag, outside):
+        values = _X0_BAD if flag == "--x0" else ("nan", "inf", "-inf", "abc")
+        for value in values + (outside,):
+            code, out, err = _run(capsys, *argv, f"{flag}={value}")
+            assert code == 1 and out == "", value
+            assert err.startswith("error:") and flag in err, (value, err)
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("catalog", "--a", "nan"), "--a must lie in [0, 1]"),
+        (("verify", "--op", "13", "--a", "1.5"), "--a must lie in [0, 1]"),
+        (("verify", "--op", "13", "--a", "0.3,x"),
+         "could not parse --a '0.3,x': could not convert string to float: 'x'"),
+        (("verify", "--op", "13", "--tol", "nan"), "--tol must be positive and finite"),
+        (("simulate", "--op", "13", "--a", "0.3", "--seed", "1", "--count", "0"),
+         "--count must be >= 1"),
+        (("tensor", "--op", "37", "--a", "0.3"), "--op must be in 1..36"),
+        (("simulate", "--op", "13", "--a", "0.3", "--seed", "x"),
+         "argument --seed: invalid int value: 'x'"),
+        (("classify", "--a", "x"), "argument --a: invalid float value: 'x'"),
+        (("simulate", "--op", "13", "--a", "0.3", "--x0", "1,1,1"),
+         "--x0 is not a simplex point: coordinate sum 3.0 deviates from 1 by more than 1e-09"),
+    ])
+    def test_exact_messages(self, capsys, no_commands, argv, message):
+        assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_domain_edges_are_accepted(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--op=13", "--a=1", "--seed=0",
+                              "--count=1", "--tol=1e300", "--max-iter=1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["trajectories"][0]["steps"] == 1
 
 
 class TestDeterminism:

@@ -11,7 +11,9 @@ from qsodyn.catalog import operator_tensor
 from qsodyn.dynamics import (
     ANALYZED_OPS,
     CYCLE_PARAM_SUP,
+    Outcome,
     PointSet,
+    TrajectoryReport,
     _edge_roots,
     _limit_table,
     _run_case,
@@ -89,6 +91,12 @@ class TestScalarMap:
         with pytest.raises(ValueError):
             scalar_map_report(0.2, grid=[])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"max_iter": 0}])
+    def test_report_rejects_bad_budget(self, kwargs):
+        with pytest.raises(ValueError, match="tol" if "tol" in kwargs else "max_iter"):
+            scalar_map_report(0.2, **kwargs)
+
 
 class TestIterate:
     def test_first_coordinate_frozen_at_half(self):
@@ -159,6 +167,10 @@ class TestOmegaLimit:
     def test_rejects_tolerance_outside_open_positive_range(self, tol):
         with pytest.raises(ValueError, match="tol"):
             omega_limit(operator_tensor(13, 0.3), SimplexPoint((0.3, 0.3, 0.4)), tol=tol)
+
+    def test_rejects_point_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            omega_limit(operator_tensor(13, 0.3), SimplexPoint((0.5, 0.5)))
 
     def test_thinning_keeps_final(self):
         report = omega_limit(operator_tensor(25, 0.45), SimplexPoint((0.01, 0.54, 0.45)))
@@ -438,6 +450,11 @@ class TestNumericOracle:
         with pytest.raises(ValueError):
             fixed_points_numeric(operator_tensor(4, 0.3), grid_n=5)
 
+    @pytest.mark.parametrize("refine_tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_refine_tol_outside_open_positive_range(self, refine_tol):
+        with pytest.raises(ValueError, match="refine_tol"):
+            fixed_points_numeric(operator_tensor(13, 0.3), refine_tol=refine_tol)
+
 
 class TestRegions:
     def test_examples(self):
@@ -710,3 +727,79 @@ class TestBatchLoopMatchesReference:
             got = _run_case(T, X0, branch.kind, targets, tol, max_iter)
             assert np.array_equal(got[0], ref[0])
             assert np.array_equal(got[1], ref[1])
+
+
+def _omega_limit_reference(T, x0, tol, max_iter):
+    """The omega_limit loop as it stood before its stop was decided in one place."""
+    cur = x0.coords
+    prev = None
+    kept = [(0, cur)]
+    next_keep = 1
+    d1 = math.inf
+    d2 = math.inf
+    outcome = Outcome("undecided", ())
+    steps = 0
+    for t in range(1, max_iter + 1):
+        nxt = apply_array(T, cur)
+        steps = t
+        d1 = float(np.abs(nxt - cur).sum())
+        d2 = float(np.abs(nxt - prev).sum()) if prev is not None else math.inf
+        keep = t <= 100 or t >= next_keep
+        if keep:
+            kept.append((t, nxt))
+            if t > 100:
+                next_keep = max(t + 1, math.ceil(next_keep * 1.25))
+            else:
+                next_keep = max(next_keep, 101)
+        if d1 <= tol:
+            outcome = Outcome("fixed_point", (SimplexPoint(nxt),))
+            if not keep:
+                kept.append((t, nxt))
+            prev, cur = cur, nxt
+            break
+        if d2 <= tol and d1 > 10.0 * tol:
+            outcome = Outcome("two_cycle", (SimplexPoint(cur), SimplexPoint(nxt)))
+            if not keep:
+                kept.append((t, nxt))
+            prev, cur = cur, nxt
+            break
+        prev, cur = cur, nxt
+    else:
+        if kept[-1][0] != steps:
+            kept.append((steps, cur))
+    return TrajectoryReport(x0, tuple((s, SimplexPoint(arr)) for s, arr in kept), steps,
+                            outcome, (d1, d2))
+
+
+# The (op, a) pairs of the benchmark's `simulate` calls, seeded starts on each,
+# plus a fixed vertex and the edge start of a 2-cycle.
+_ORBIT_STARTS = [(op_id, a, x0) for op_id, a in
+                 ((13, 0.45), (28, 0.3), (25, 0.55), (4, 0.5), (13, 0.5))
+                 for x0 in sample(3, 5, 2) + sample(3, 6, 2)]
+_ORBIT_STARTS += [(4, 0.5, sample(3, 1, 2)[1]),  # a 2-cycle found at step 509
+                  (13, 0.2, E2), (28, 0.3, SimplexPoint((0.0, 0.9, 0.1)))]
+
+
+class TestOmegaLimitMatchesReference:
+    @pytest.mark.parametrize("op_id,a,x0", _ORBIT_STARTS)
+    def test_reports_equal(self, op_id, a, x0):
+        T = operator_tensor(op_id, a)
+        tol = 1e-6 if a == 0.5 else 1e-9  # the simulate defaults
+        for max_iter in (1, 2, 100, 101, 126, 127, 128, 10 ** 5):
+            got = omega_limit(T, x0, tol=tol, max_iter=max_iter).to_json_dict()
+            assert got == _omega_limit_reference(T, x0, tol, max_iter).to_json_dict()
+
+    def test_starts_reach_the_thinned_range(self):
+        # Some orbits must run past step 128, so the kept steps 101, 127 and
+        # 159 and the final step are all compared above.
+        steps = [omega_limit(operator_tensor(op_id, a), x0,
+                             tol=1e-6 if a == 0.5 else 1e-9).steps
+                 for op_id, a, x0 in _ORBIT_STARTS]
+        assert max(steps) > 390 and min(steps) == 1
+        assert sum(s > 128 for s in steps) >= 6
+
+    def test_kept_steps_follow_the_rule(self):
+        report = omega_limit(operator_tensor(4, 0.5), sample(3, 1, 2)[1], tol=1e-9)
+        kept = [s for s, _ in report.iterates_kept]
+        rule = list(range(101)) + [101, 127, 159, 199, 249, 312, 390, 488, 610, 763]
+        assert kept == [s for s in rule if s < report.steps] + [report.steps]

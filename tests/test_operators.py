@@ -50,6 +50,12 @@ class TestConstruction:
         U = HeredityTensor.from_json(T.to_json())
         assert U == T
 
+    def test_json_round_trip_non_finite(self):
+        T = HeredityTensor(np.array([np.nan, np.inf, -np.inf, 0.5] * 2).reshape(2, 2, 2))
+        text = T.to_json()
+        assert text == '{"m": 2, "P": [NaN, Infinity, -Infinity, 0.5, NaN, Infinity, -Infinity, 0.5]}'
+        assert np.array_equal(HeredityTensor.from_json(text).table, T.table, equal_nan=True)
+
 
 class TestApply:
     def test_hand_value_v13(self):
