@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import HeredityTensor, apply, apply_array
 from .catalog import operator_tensor
-from .simplex import SimplexPoint, ZERO_TOL, sample_with_rng, vertex
+from .simplex import SimplexPoint, ZERO_TOL, sample_with_rng, simplex_rows, vertex
 
 #: Catalog ids whose limit behavior has closed-form predictions here.
 ANALYZED_OPS = (4, 13, 25, 28)
@@ -386,40 +386,44 @@ class PointSet:
             out.extend(curve.sample(curve_samples))
         return out
 
-    def min_l1_distance(self, x) -> float:
-        """Distance from x to the set (curve closures included)."""
+    def min_l1_distance(self, x):
+        """Distance from x to the set (curve closures included): a float for
+        one point, an (n,) array for the rows of an (n, 3) array."""
         arr = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
-        best = math.inf
-        for p in self.points:
-            best = min(best, float(np.abs(p.coords - arr).sum()))
+        X = arr.reshape(-1, arr.shape[-1])
+        P = np.array([p.coords for p in self.points]).reshape(-1, X.shape[1])
+        best = np.abs(P - X[:, None]).sum(axis=2).min(axis=1, initial=math.inf)
         for curve in self.curves:
-            best = min(best, _curve_min_distance(curve, arr))
-        return best
+            best = np.minimum(best, _curve_min_distance(curve, X))
+        return float(best[0]) if arr.ndim == 1 else best
 
 
-def _curve_min_distance(curve: CurveFamily, arr: np.ndarray) -> float:
-    """l1 distance from arr to the closure of the curve, from arrays only.
+def _curve_min_distance(curve: CurveFamily, X: np.ndarray) -> np.ndarray:
+    """l1 distances from the rows of X (n, 3) to the closure of the curve.
 
     On a straight family the distance is convex and piecewise linear in the
     parameter, so it is least at an end or where one coordinate of the curve
-    meets that of arr. Other families are scanned at 257 parameters, and
-    each further scan covers the two intervals around the best one so far.
+    meets that of the row. Other families are scanned at 257 parameters per row;
+    each further scan covers the two intervals around the row's best one so far.
     """
     lo, hi = curve.lo, curve.hi
     if curve.straight:
         ends = curve.coords(np.array([lo, hi]))
         step = ends[1] - ends[0]
         moving = step != 0.0
-        ts = lo + (hi - lo) * (arr[moving] - ends[0, moving]) / step[moving]
-        pts = np.vstack((ends, curve.coords(np.clip(ts, lo, hi))))
-        return float(np.abs(pts - arr).sum(axis=1).min())
-    best = math.inf
+        ts = lo + (hi - lo) * (X[:, moving] - ends[0, moving]) / step[moving]
+        pts = curve.coords(np.clip(ts, lo, hi).ravel()).reshape(ts.shape + (3,))
+        return np.minimum(np.abs(ends - X[:, None]).sum(axis=2).min(axis=1),
+                          np.abs(pts - X[:, None]).sum(axis=2).min(axis=1))
+    rows = np.arange(X.shape[0])
+    best = np.full(X.shape[0], math.inf)
+    lo, hi = np.full(X.shape[0], lo), np.full(X.shape[0], hi)
     for _ in range(8):  # each scan narrows [lo, hi] 128-fold; 8 reach float resolution
-        ts = np.linspace(lo, hi, 257)
-        dists = np.abs(curve.coords(ts) - arr).sum(axis=1)
-        i = int(np.argmin(dists))
-        best = min(best, float(dists[i]))
-        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, 256)]
+        ts = np.linspace(lo, hi, 257, axis=1)
+        dists = np.abs(curve.coords(ts.ravel()).reshape(ts.shape + (3,)) - X[:, None]).sum(axis=2)
+        i = dists.argmin(axis=1)
+        best = np.minimum(best, dists[rows, i])
+        lo, hi = ts[rows, np.maximum(i - 1, 0)], ts[rows, np.minimum(i + 1, 256)]
     return best
 
 
@@ -463,40 +467,55 @@ _SLICE_CYCLE_HIGH = _slice_curve("slice cycle, high branch", CYCLE_PARAM_SUP,
 @dataclass(frozen=True)
 class _Branch:
     """One case of a limit analysis: orbits starting where `holds` is true
-    converge to `target(x0)`, a point or an unordered 2-cycle."""
+    converge to the point or unordered 2-cycle of `targets`, each a point or
+    a curve taken at the parameter x1(0). Verification draws interior starts,
+    or starts on the edge x[edge] = 0 (0-based) when `edge` is set."""
 
     label: str  # condition on x(0), e.g. "x1(0) != 0"
     target_text: str  # e.g. "e1"
-    holds: Callable[[np.ndarray], bool]
-    draw: Callable[[np.random.Generator], np.ndarray]  # initial points for verification
-    kind: str  # "point" | "cycle"
-    target: Callable[[np.ndarray], tuple[SimplexPoint, ...]]
-    continuum: bool = False  # target lies on a parametric family
+    holds: Callable[[np.ndarray], np.ndarray]  # on one point (3,) or on rows (n, 3)
+    targets: tuple  # SimplexPoint or CurveFamily items
+    edge: Optional[int] = None
 
+    @property
+    def kind(self) -> str:
+        return "cycle" if len(self.targets) == 2 else "point"
 
-def _case(label: str, target_text: str, holds, kind: str, target, continuum: bool = False,
-          draw=None) -> _Branch:
-    """A branch whose starts are interior draws satisfying `holds`, unless `draw` is given."""
-    def interior(rng: np.random.Generator) -> np.ndarray:
+    @property
+    def continuum(self) -> bool:  # the target lies on a parametric family
+        return isinstance(self.targets[0], CurveFamily)
+
+    def candidates(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The next `count` starts of the stream as (count, 3) rows, before `holds`."""
+        if self.edge is None:
+            return sample_with_rng(3, rng, count)
+        return _edge_points(self.edge, rng.random(count))
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The next start of the stream that satisfies `holds`."""
         while True:
-            p = sample_with_rng(3, rng, 1)[0]
-            if holds(p):
-                return p
+            x = self.candidates(rng, 1)[0]
+            if self.holds(x):
+                return x
 
-    return _Branch(label, target_text, holds, draw or interior, kind, target, continuum)
+    def target_coords(self, X: np.ndarray) -> np.ndarray:
+        """(n, k, 3) raw coordinates of the k target points of each start row."""
+        return np.stack([t.coords(X[:, 0]) if isinstance(t, CurveFamily)
+                         else np.broadcast_to(t.coords, X.shape) for t in self.targets], axis=1)
+
+    def target(self, x) -> tuple[SimplexPoint, ...]:
+        """The predicted point or 2-cycle of one start."""
+        return tuple(map(SimplexPoint, self.target_coords(np.asarray(x, dtype=float)[None])[0]))
 
 
 def _off_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
     """x_i(0) != 0 -> a vertex or a 2-cycle of vertices."""
-    return _case(f"x{i}(0) != 0", target_text, lambda x: x[i - 1] > ZERO_TOL,
-                 "cycle" if len(points) == 2 else "point", lambda x: points)
+    return _Branch(f"x{i}(0) != 0", target_text, lambda x: x[..., i - 1] > ZERO_TOL, points)
 
 
 def _on_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
     """x_i(0) = 0 -> a vertex or a 2-cycle of vertices; starts drawn on that edge."""
-    return _case(f"x{i}(0) = 0", target_text, lambda x: x[i - 1] <= ZERO_TOL,
-                 "cycle" if len(points) == 2 else "point", lambda x: points,
-                 draw=lambda rng: _edge_points(i - 1, rng.random()))
+    return _Branch(f"x{i}(0) = 0", target_text, lambda x: x[..., i - 1] <= ZERO_TOL, points, i - 1)
 
 
 @dataclass(frozen=True)
@@ -508,13 +527,28 @@ class _LimitTable:
     periodic2: PointSet
     branches: tuple[_Branch, ...]
 
-    def excluded(self, x) -> Optional[str]:
-        """Name of the exact set within EXCLUSION_RADIUS of x, if any."""
-        if self.fixed.min_l1_distance(x) <= EXCLUSION_RADIUS:
-            return "fixed-point"
-        if not self.periodic2.is_empty and self.periodic2.min_l1_distance(x) <= EXCLUSION_RADIUS:
-            return "2-periodic"
-        return None
+    def excluded(self, x):
+        """Name of the exact set within EXCLUSION_RADIUS of the point x, if any;
+        for the rows of an (n, 3) array, a mask of the rows near either set."""
+        near = self.fixed.min_l1_distance(x) <= EXCLUSION_RADIUS
+        near2 = self.periodic2.min_l1_distance(x) <= EXCLUSION_RADIUS  # inf when empty
+        if np.ndim(x) == 2:
+            return near | near2
+        return "fixed-point" if near else "2-periodic" if near2 else None
+
+    def starts(self, branch: _Branch, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The first `count` starts of the branch's stream that satisfy its
+        condition and lie outside the excluded sets, drawn in chunks from an rng
+        used for nothing else. Exclusion, the costly test, sees only rows still needed."""
+        found = []
+        while count > 0:
+            X = branch.candidates(rng, 2 * count + 64)
+            X = X[branch.holds(X)]
+            while count > 0 and len(X):
+                head, X = X[:count], X[count:]
+                found.append(head[~self.excluded(head)])
+                count -= len(found[-1])
+        return np.concatenate(found)
 
 
 E1, E2, E3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
@@ -528,21 +562,18 @@ def _op13_balanced(a: float) -> _LimitTable:
     line = CurveFamily("x1 = x3 segment", 0.0, 0.5,
                        lambda ts: np.stack((ts, 1.0 - 2.0 * ts, ts), axis=1), straight=True)
     return _LimitTable(PointSet(curves=(edge, line)), PointSet(), (
-        _case("x1(0) > 1/2", "(x1, 0, 1 - x1)", lambda x: x[0] > 0.5, "point",
-              lambda x: (edge.point_at(float(x[0])),), continuum=True),
-        _case("x1(0) <= 1/2", "(x1, 1 - 2 x1, x1)", lambda x: x[0] <= 0.5, "point",
-              lambda x: (line.point_at(float(x[0])),), continuum=True),
+        _Branch("x1(0) > 1/2", "(x1, 0, 1 - x1)", lambda x: x[..., 0] > 0.5, (edge,)),
+        _Branch("x1(0) <= 1/2", "(x1, 1 - 2 x1, x1)", lambda x: x[..., 0] <= 0.5, (line,)),
     ))
 
 
 def _op4_balanced(a: float) -> _LimitTable:
     return _LimitTable(
         PointSet(curves=(_SLICE_FIXED,)), PointSet(curves=(_SLICE_CYCLE_LOW, _SLICE_CYCLE_HIGH)), (
-            _case("x1(0) < cycle sup", "slice 2-cycle", lambda x: x[0] < CYCLE_PARAM_SUP, "cycle",
-                  lambda x: (_SLICE_CYCLE_LOW.point_at(float(x[0])),
-                             _SLICE_CYCLE_HIGH.point_at(float(x[0]))), continuum=True),
-            _case("x1(0) >= cycle sup", "slice fixed point", lambda x: x[0] >= CYCLE_PARAM_SUP,
-                  "point", lambda x: (_SLICE_FIXED.point_at(float(x[0])),), continuum=True),
+            _Branch("x1(0) < cycle sup", "slice 2-cycle", lambda x: x[..., 0] < CYCLE_PARAM_SUP,
+                    (_SLICE_CYCLE_LOW, _SLICE_CYCLE_HIGH)),
+            _Branch("x1(0) >= cycle sup", "slice fixed point",
+                    lambda x: x[..., 0] >= CYCLE_PARAM_SUP, (_SLICE_FIXED,)),
         ))
 
 
@@ -762,7 +793,7 @@ def limit_prediction(op_id: int, a: float, x0: SimplexPoint) -> LimitPrediction:
     if x0.m != 3:
         raise ValueError("predictions are for the 2-simplex")
     table = _limit_table(op_id, a, covered=True)
-    where = table.excluded(x0)
+    where = table.excluded(x0.coords)
     if where is not None:
         raise ValueError(f"initial point lies in the excluded {where} set")
     x = x0.coords
@@ -810,108 +841,68 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
-            "op": self.op_id,
-            "a": self.a,
-            "seeds": self.seeds,
-            "base_seed": self.base_seed,
-            "passed": self.passed,
-            "cases": [
-                {
-                    "label": c.label,
-                    "tol": c.tol,
-                    "max_iter": c.max_iter,
-                    "passed": c.passed,
-                    "points": [
-                        {
-                            "index": v.index,
-                            "x0": list(v.x0),
-                            "predicted": [list(p) for p in v.predicted],
-                            "kind": v.prediction_kind,
-                            "steps": v.steps,
-                            "distance": v.distance,
-                            "passed": v.passed,
-                        }
-                        for v in c.verdicts
-                    ],
-                }
-                for c in self.cases
-            ],
+            "schema_version": 1, "op": self.op_id, "a": self.a, "seeds": self.seeds,
+            "base_seed": self.base_seed, "passed": self.passed,
+            "cases": [{
+                "label": c.label, "tol": c.tol, "max_iter": c.max_iter, "passed": c.passed,
+                "points": [{
+                    "index": v.index, "x0": list(v.x0), "predicted": [list(p) for p in v.predicted],
+                    "kind": v.prediction_kind, "steps": v.steps, "distance": v.distance,
+                    "passed": v.passed,
+                } for v in c.verdicts],
+            } for c in self.cases],
         }
 
 
-def verify_predictions(
-    op_id: int,
-    a_values: Sequence[float],
-    seeds: int = 100,
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
-    base_seed: int = 7,
-) -> list[VerificationReport]:
+def verify_predictions(op_id: int, a_values: Sequence[float], seeds: int = 100,
+                       tol: Optional[float] = None, max_iter: Optional[int] = None,
+                       base_seed: int = 7) -> list[VerificationReport]:
     """Measure how close seeded orbits come to their predicted limit sets.
 
-    For each parameter and each case branch, draws `seeds` initial points
-    satisfying the branch condition (resampling anything within
-    EXCLUSION_RADIUS of the exact fixed/2-periodic sets, which the
-    predictions exclude), then iterates all of them in a batch until the
-    distance to the predicted limit object falls below the tolerance or the
-    iteration budget runs out. Explicit tol / max_iter apply to every case;
-    otherwise vertex-type targets use (1e-6, 1e5) and continuum targets
-    (1e-4, 1e6).
+    For each parameter and each case branch, takes the first `seeds` starts
+    of the case's own seeded stream that satisfy the branch condition and lie
+    outside EXCLUSION_RADIUS of the exact fixed/2-periodic sets, then iterates
+    them in a batch until each is within the tolerance of its predicted limit
+    or the budget runs out. Explicit tol / max_iter apply to every case;
+    otherwise vertex targets use (1e-6, 1e5) and continuum targets (1e-4, 1e6).
     """
     _require_analyzed(op_id)
     if seeds < 1:
         raise ValueError("need seeds >= 1")
     _check_budget(DEFAULT_TOL if tol is None else tol,
                   DEFAULT_MAX_ITER if max_iter is None else max_iter)
+    # Every parameter must have covered predictions before any orbit runs.
+    plans = [(a, _limit_table(op_id, a, covered=True)) for a in a_values]
     reports = []
-    for a in a_values:
-        table = _limit_table(op_id, a, covered=True)
+    for a, table in plans:
         T = operator_tensor(op_id, a)
         cases = []
         for case_idx, branch in enumerate(table.branches):
-            rng = np.random.default_rng(
-                [base_seed, op_id, case_idx, int(round(a * 10 ** 9))])
-            xs, targets = [], []
-            while len(xs) < seeds:
-                arr = branch.draw(rng)
-                if table.excluded(arr) is None:
-                    xs.append(arr)
-                    targets.append(branch.target(SimplexPoint(arr).coords))
+            rng = np.random.default_rng([base_seed, op_id, case_idx, int(round(a * 10 ** 9))])
+            X = table.starts(branch, rng, seeds)
+            targets = simplex_rows(branch.target_coords(simplex_rows(X)))
             case_tol = tol if tol is not None else (
                 VERIFY_CURVE_TOL if branch.continuum else VERIFY_POINT_TOL)
             case_max = max_iter if max_iter is not None else (
                 VERIFY_CURVE_MAX_ITER if branch.continuum else VERIFY_POINT_MAX_ITER)
-            steps, dists = _run_case(T, np.array(xs), branch.kind, targets, case_tol, case_max)
+            steps, dists = _run_case(T, X, branch.kind, targets, case_tol, case_max)
             verdicts = tuple(
-                PointVerdict(
-                    index=i,
-                    x0=tuple(float(v) for v in xs[i]),
-                    predicted=tuple(p.as_tuple() for p in targets[i]),
-                    prediction_kind=branch.kind,
-                    steps=int(steps[i]) if steps[i] >= 0 else None,
-                    distance=float(dists[i]),
-                    passed=bool(steps[i] >= 0),
-                )
-                for i in range(seeds)
-            )
+                PointVerdict(i, tuple(x0), tuple(map(tuple, pred)), branch.kind,
+                             s if s >= 0 else None, d, s >= 0)
+                for i, (x0, pred, s, d) in enumerate(
+                    zip(X.tolist(), targets.tolist(), steps.tolist(), dists.tolist())))
             cases.append(CaseResult(branch.label, case_tol, case_max, verdicts))
         reports.append(VerificationReport(op_id, float(a), seeds, base_seed, tuple(cases)))
     return reports
 
 
-def _run_case(
-    T: HeredityTensor,
-    X0: np.ndarray,
-    kind: str,
-    targets: Sequence[tuple[SimplexPoint, ...]],
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_case(T: HeredityTensor, X0: np.ndarray, kind: str, targets, tol: float,
+              max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch-iterate one case; returns per-point (steps, final distance),
-    steps = -1 where the target was not reached within max_iter. Point
-    targets compare the current state; cycle targets compare the unordered
-    pair (previous, current) against the predicted pair."""
+    steps = -1 where the target was not reached within max_iter. `targets`
+    holds the k = 1 or 2 predicted points of each row, shape (n, k, 3).
+    Point targets compare the current state; cycle targets compare the
+    unordered pair (previous, current) against the predicted pair."""
     def distance(cur, nxt, p1, p2):
         d = np.abs(nxt - p1).sum(axis=1)
         if kind == "cycle":
@@ -919,9 +910,9 @@ def _run_case(
                            np.maximum(np.abs(nxt - p2).sum(axis=1), np.abs(cur - p1).sum(axis=1)))
         return d <= tol, d
 
-    P1 = np.array([pts[0].coords for pts in targets])
-    P2 = np.array([pts[-1].coords for pts in targets])  # equal to P1 for point targets
-    return _iterate_until(lambda X: apply_array(T, X), X0, max_iter, distance, P1, P2)
+    P = np.asarray(targets, dtype=float)
+    return _iterate_until(lambda X: apply_array(T, X), X0, max_iter, distance,
+                          P[:, 0], P[:, -1])  # P[:, -1] equals P[:, 0] for point targets
 
 
 def _iterate_until(step, X: np.ndarray, max_iter: int, stop, *carried: np.ndarray):

@@ -7,48 +7,54 @@ elements are all numbers render inline so coordinate triples stay readable.
 
 from __future__ import annotations
 
-import json
-import math
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes for a str
 
-
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("refusing to serialize a non-finite float")
-    return format(x, ".17g")
+_17G = "%.17g".__mod__
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def dumps(obj) -> str:
-    return _render(obj, 0)
+    """JSON text of obj in one pass; each container's text is joined once."""
+    return _render(obj, "\n", {})
 
 
-def _render(obj, level: int) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+def _floats(values) -> str:
+    """Floats joined by ", "; the .17g texts of inf, -inf and nan are the only ones with an n."""
+    text = ", ".join(map(_17G, values))
+    if "n" in text:
+        raise ValueError("refusing to serialize a non-finite float")
+    return text
+
+
+def _render(obj, pad: str, keys: dict[str, str]) -> str:
+    """obj as JSON text. pad is the line break and indent of obj's last line;
+    keys caches the quoted text of each dict key."""
+    if isinstance(obj, float):
+        return _floats((obj,))
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-            items.append(f'{inner}{json.dumps(key)}: {_render(value, level + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
-            return "[" + ", ".join(_render(v, 0) for v in seq) + "]"
-        items = [f"{inner}{_render(v, level + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)}")
+        for key in obj.keys() - keys.keys():
+            keys[key] = _quote(key) + ": "  # _quote raises TypeError on a key that is no str
+        heads, values, brackets = [keys[key] for key in obj], obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) == {float}:
+            return "[" + _floats(obj) + "]"
+        if obj and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+            return "[" + ", ".join([_render(v, pad, keys) for v in obj]) + "]"
+        heads, values, brackets = [""] * len(obj), obj, "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj)}")
+    if not values:
+        return brackets
+    inner = pad + "  "
+    parts = []  # one join per container, so each value's text is copied once
+    for head, value in zip(heads, values):
+        parts += (",", inner, head, _render(value, inner, keys))
+    parts[0] = brackets[0]
+    parts += (pad, brackets[1])
+    return "".join(parts)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -71,13 +72,14 @@ class HeredityTensor:
         The (j, i) entries are filled symmetrically, so the symmetry
         constraint holds exactly by construction.
         """
+        if not (isinstance(m, Integral) and m >= 1):
+            raise ValueError(f"need an integer m >= 1, got {m!r}")
         arr = np.zeros((m, m, m))
         expected = {(i, j) for i in range(1, m + 1) for j in range(i, m + 1)}
-        given = set(rows)
-        if given != expected:
-            raise ValueError(f"need exactly the rows {sorted(expected)}, got {sorted(given)}")
-        for (i, j), row in rows.items():
-            vec = np.asarray(row, dtype=np.float64)
+        if set(rows) != expected:
+            raise ValueError(f"need exactly the rows {sorted(expected)}, got {list(rows)}")
+        for i, j in sorted(expected):  # integer indices, whatever equal keys rows uses
+            vec = np.asarray(rows[i, j], dtype=np.float64)
             if vec.shape != (m,):
                 raise ValueError(f"row {(i, j)} has wrong length")
             arr[i - 1, j - 1, :] = vec

@@ -7,6 +7,7 @@ the usual index-set convention I = {1..m}.
 from __future__ import annotations
 
 import json
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,10 +94,20 @@ class SimplexPoint:
         return SimplexPoint(data)
 
 
+def simplex_rows(X: np.ndarray) -> np.ndarray:
+    """The rows of X (..., m) as `SimplexPoint` stores them, bit for bit; raises
+    ValueError if the constructor would reject a row."""
+    Y = np.where(X < 0.0, 0.0, X)
+    s = Y.sum(axis=-1)
+    if not (X.min() >= -NEG_TOL and np.abs(s - 1.0).max() <= SUM_TOL):  # NaN fails too
+        raise ValueError("rows must be simplex points up to roundoff")
+    return Y / s[..., None]  # x / 1.0 == x, as when the constructor skips the division
+
+
 def vertex(i: int, m: int) -> SimplexPoint:
     """The i-th vertex e_i of the (m-1)-simplex (1-based)."""
-    if not 1 <= i <= m:
-        raise ValueError(f"vertex index {i} out of range 1..{m}")
+    if not (isinstance(i, Integral) and isinstance(m, Integral) and 1 <= i <= m):
+        raise ValueError(f"vertex index {i} must be an integer in 1..{m}")
     arr = np.zeros(m)
     arr[i - 1] = 1.0
     return SimplexPoint(arr)
@@ -139,23 +150,13 @@ def sample(m: int, seed: int, count: int) -> list[SimplexPoint]:
     [0, 1] into m gaps, which are exactly uniformly distributed on the
     simplex. Identical (m, seed, count) reproduce bit-identical output.
     """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if count < 1:
-        raise ValueError("need count >= 1")
-    rng = np.random.default_rng(seed)
-    return [SimplexPoint(g) for g in _gaps(rng.random((count, m - 1)))]
-
-
-def _gaps(u: np.ndarray) -> np.ndarray:
-    """Turn rows of uniforms in (0,1) into simplex points via sorted gaps."""
-    count = u.shape[0]
-    cuts = np.sort(u, axis=1)
-    padded = np.concatenate(
-        [np.zeros((count, 1)), cuts, np.ones((count, 1))], axis=1)
-    return np.diff(padded, axis=1)
+    for name, value, low in (("m", m, 2), ("count", count, 1), ("seed", seed, 0)):
+        if not (isinstance(value, Integral) and value >= low):
+            raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
+    return [SimplexPoint(g) for g in sample_with_rng(m, np.random.default_rng(seed), count)]
 
 
 def sample_with_rng(m: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Raw (count, m) array of uniform simplex rows drawn from an existing rng."""
-    return _gaps(rng.random((count, m - 1)))
+    """Raw (count, m) array of uniform simplex rows drawn from an existing rng:
+    the gaps between m - 1 sorted uniforms and the ends of [0, 1]."""
+    return np.diff(np.sort(rng.random((count, m - 1)), axis=1), axis=1, prepend=0.0, append=1.0)

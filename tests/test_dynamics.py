@@ -7,13 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qsodyn import dynamics
 from qsodyn.catalog import operator_tensor
+from qsodyn.cli import main
 from qsodyn.dynamics import (
     ANALYZED_OPS,
     CYCLE_PARAM_SUP,
+    EXCLUSION_RADIUS,
+    CaseResult,
+    CurveFamily,
     Outcome,
     PointSet,
+    PointVerdict,
     TrajectoryReport,
+    VerificationReport,
+    _edge_points,
     _edge_roots,
     _limit_table,
     _run_case,
@@ -33,8 +41,10 @@ from qsodyn.dynamics import (
     trajectory_csv,
     verify_predictions,
 )
+from qsodyn.jsonio import dumps
 from qsodyn.operators import HeredityTensor, apply, apply_array
-from qsodyn.simplex import ZERO_TOL, SimplexPoint, l1_distance, sample, vertex
+from qsodyn.simplex import (
+    ZERO_TOL, SimplexPoint, l1_distance, sample, sample_with_rng, simplex_rows, vertex)
 
 E1, E2, E3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
 GOLDEN_CONJ = (3 - math.sqrt(5)) / 2  # 0.381966...
@@ -803,3 +813,202 @@ class TestOmegaLimitMatchesReference:
         kept = [s for s, _ in report.iterates_kept]
         rule = list(range(101)) + [101, 127, 159, 199, 249, 312, 390, 488, 610, 763]
         assert kept == [s for s in rule if s < report.steps] + [report.steps]
+
+
+# ---------------------------------------------------------------------------
+# Batched starts and exclusion against the per-point loop they replaced
+# ---------------------------------------------------------------------------
+
+def _curve_min_distance_reference(curve, arr):
+    """The one-point distance to a curve as it stood before the rows were batched."""
+    lo, hi = curve.lo, curve.hi
+    if curve.straight:
+        ends = curve.coords(np.array([lo, hi]))
+        step = ends[1] - ends[0]
+        moving = step != 0.0
+        ts = lo + (hi - lo) * (arr[moving] - ends[0, moving]) / step[moving]
+        pts = np.vstack((ends, curve.coords(np.clip(ts, lo, hi))))
+        return float(np.abs(pts - arr).sum(axis=1).min())
+    best = math.inf
+    for _ in range(8):
+        ts = np.linspace(lo, hi, 257)
+        dists = np.abs(curve.coords(ts) - arr).sum(axis=1)
+        i = int(np.argmin(dists))
+        best = min(best, float(dists[i]))
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, 256)]
+    return best
+
+
+def _min_l1_distance_reference(point_set, arr):
+    best = math.inf
+    for p in point_set.points:
+        best = min(best, float(np.abs(p.coords - arr).sum()))
+    for curve in point_set.curves:
+        best = min(best, _curve_min_distance_reference(curve, arr))
+    return best
+
+
+def _excluded_reference(table, arr):
+    if _min_l1_distance_reference(table.fixed, arr) <= EXCLUSION_RADIUS:
+        return "fixed-point"
+    if (not table.periodic2.is_empty
+            and _min_l1_distance_reference(table.periodic2, arr) <= EXCLUSION_RADIUS):
+        return "2-periodic"
+    return None
+
+
+def _draw_reference(branch, rng):
+    """One draw of the per-point loop: a point of the branch's edge, or the
+    first interior sample that satisfies the branch condition."""
+    if branch.edge is not None:
+        return _edge_points(branch.edge, rng.random())
+    while True:
+        p = sample_with_rng(3, rng, 1)[0]
+        if branch.holds(p):
+            return p
+
+
+def _starts_reference(op_id, a, seeds, base_seed):
+    """Per case of (op_id, a): the starts and target tuples of the per-point
+    draw loop that verify_predictions ran before its starts were batched."""
+    table = _limit_table(op_id, a, covered=True)
+    out = []
+    for case_idx, branch in enumerate(table.branches):
+        rng = np.random.default_rng([base_seed, op_id, case_idx, int(round(a * 10 ** 9))])
+        xs, targets = [], []
+        while len(xs) < seeds:
+            arr = _draw_reference(branch, rng)
+            if _excluded_reference(table, arr) is None:
+                xs.append(arr)
+                x = SimplexPoint(arr).coords
+                targets.append(tuple(t.point_at(float(x[0])) if isinstance(t, CurveFamily) else t
+                                     for t in branch.targets))
+        out.append((np.array(xs), targets))
+    return out
+
+
+def _report_reference(op_id, a, starts, base_seed, max_iter):
+    """The verdicts the per-point loop built from `starts` (a prefix of
+    `_starts_reference`), as a VerificationReport."""
+    table = _limit_table(op_id, a, covered=True)
+    T = operator_tensor(op_id, a)
+    cases = []
+    for branch, (xs, targets) in zip(table.branches, starts):
+        tol = 1e-4 if branch.continuum else 1e-6
+        steps, dists = _run_case(T, xs, branch.kind, targets, tol, max_iter)
+        verdicts = tuple(
+            PointVerdict(
+                index=i,
+                x0=tuple(float(v) for v in xs[i]),
+                predicted=tuple(p.as_tuple() for p in targets[i]),
+                prediction_kind=branch.kind,
+                steps=int(steps[i]) if steps[i] >= 0 else None,
+                distance=float(dists[i]),
+                passed=bool(steps[i] >= 0),
+            )
+            for i in range(len(xs)))
+        cases.append(CaseResult(branch.label, tol, max_iter, verdicts))
+    return VerificationReport(op_id, float(a), len(starts[0][0]), base_seed, tuple(cases))
+
+
+class TestBatchedStartsMatchReference:
+    # max_iter = 16 leaves some orbits of the vertex cases undecided and lets others pass.
+    @pytest.mark.parametrize("base_seed", [7, 11])
+    @pytest.mark.parametrize("op_id,a", PREDICTED)
+    def test_starts_targets_and_reports(self, op_id, a, base_seed):
+        reference = _starts_reference(op_id, a, 2000, base_seed)
+        for seeds in (1, 25, 2000):
+            # The stream is screened in order, so every count takes the same leading rows.
+            prefix = [(xs[:seeds], targets[:seeds]) for xs, targets in reference]
+            (got,) = verify_predictions(op_id, (a,), seeds=seeds, base_seed=base_seed, max_iter=16)
+            for case, (xs, targets) in zip(got.cases, prefix):
+                assert np.array([v.x0 for v in case.verdicts]).tobytes() == xs.tobytes()
+                want = np.array([[p.coords for p in pts] for pts in targets])
+                assert np.array([v.predicted for v in case.verdicts]).tobytes() == want.tobytes()
+            want = _report_reference(op_id, a, prefix, base_seed, 16)
+            assert got.to_json_dict() == want.to_json_dict()
+
+    def test_reports_mix_passed_and_undecided_orbits(self):
+        (report,) = verify_predictions(13, (0.2,), seeds=25, base_seed=7, max_iter=16)
+        steps = [v.steps for case in report.cases for v in case.verdicts]
+        assert None in steps and any(s is not None for s in steps)
+
+    def test_draw_stream_is_chunk_independent(self):
+        # A start drawn one at a time equals the same start drawn in a chunk.
+        for op_id, a in PREDICTED:
+            for branch in _limit_table(op_id, a).branches:
+                one, many = np.random.default_rng(5), np.random.default_rng(5)
+                drawn = np.array([branch.draw(one) for _ in range(30)])
+                chunk = branch.candidates(many, 400)
+                assert drawn.tobytes() == chunk[branch.holds(chunk)][:30].tobytes()
+
+
+def _distance_rows(point_set, rng):
+    """Uniform rows, rows on and near every curve and point of the set, vertices and edges."""
+    rows = [rng.dirichlet((1.0, 1.0, 1.0), 40), np.eye(3), _edge_points(0, rng.random(5))]
+    for curve in point_set.curves:
+        on = curve.coords(rng.uniform(curve.lo, curve.hi, 10))
+        rows += [on, np.abs(on + rng.normal(scale=1e-9, size=on.shape))]
+    rows += [np.abs(p.coords + rng.normal(scale=1e-9, size=(5, 3))) for p in point_set.points]
+    X = np.vstack(rows)
+    return X / X.sum(axis=1, keepdims=True)
+
+
+_POINT_SETS = [(op_id, a, name, getattr(_limit_table(op_id, a), name))
+               for op_id, a in PREDICTED + [(4, 0.2)] for name in ("fixed", "periodic2")]
+
+
+class TestBatchedDistanceMatchesOnePoint:
+    @pytest.mark.parametrize("op_id,a,name,point_set", _POINT_SETS)
+    def test_rows_match_single_calls(self, op_id, a, name, point_set):
+        X = _distance_rows(point_set, np.random.default_rng([op_id, int(a * 10)]))
+        batch = point_set.min_l1_distance(X)
+        assert batch.shape == (X.shape[0],)
+        single = np.array([point_set.min_l1_distance(x) for x in X])
+        assert batch.tobytes() == single.tobytes()
+        reference = np.array([_min_l1_distance_reference(point_set, x) for x in X])
+        if all(c.straight for c in point_set.curves):
+            assert batch.tobytes() == reference.tobytes()
+        else:  # the op-4 slice curves are scanned: the exclusion decisions must agree
+            assert np.array_equal(batch <= EXCLUSION_RADIUS, reference <= EXCLUSION_RADIUS)
+            assert (batch <= EXCLUSION_RADIUS).any() and (batch > EXCLUSION_RADIUS).any()
+
+    @pytest.mark.parametrize("op_id,a", PREDICTED + [(4, 0.2)])
+    def test_excluded_mask_matches_single_calls(self, op_id, a):
+        table = _limit_table(op_id, a)
+        X = np.vstack([_distance_rows(table.fixed, np.random.default_rng(1)),
+                       _distance_rows(table.periodic2, np.random.default_rng(2))])
+        mask = table.excluded(X)
+        assert mask.dtype == bool and mask.shape == (X.shape[0],)
+        assert mask.tolist() == [_excluded_reference(table, x) is not None for x in X]
+        assert [table.excluded(x) for x in X] == [_excluded_reference(table, x) for x in X]
+
+    def test_simplex_rows_matches_the_constructor(self):
+        rng = np.random.default_rng(3)
+        X = np.vstack([sample_with_rng(3, rng, 500), _edge_points(1, rng.random(200)),
+                       rng.dirichlet((0.5, 0.5, 0.5), 200) * (1.0 + 1e-10),
+                       np.array([[-1e-13, 0.5, 0.5 + 1e-13], [-0.0, 0.25, 0.75]])])
+        want = np.array([SimplexPoint(x).coords for x in X])
+        assert simplex_rows(X).tobytes() == want.tobytes()
+        for bad in ([[-1e-11, 0.5, 0.5]], [[0.2, 0.3, 0.5 + 1e-8]], [[math.nan, 0.5, 0.5]]):
+            with pytest.raises(ValueError):
+                SimplexPoint(bad[0])
+            with pytest.raises(ValueError):
+                simplex_rows(np.vstack([want[:3], bad]))
+
+
+class TestEveryParameterCheckedFirst:
+    def test_no_case_runs_before_a_bad_parameter_fails(self, monkeypatch, capsys):
+        ran = []
+
+        def fail(*args):
+            ran.append(args)
+            raise AssertionError("an orbit ran before every parameter was checked")
+
+        monkeypatch.setattr(dynamics, "_run_case", fail)
+        with pytest.raises(ValueError, match="no covered limit prediction"):
+            verify_predictions(4, (0.5, 0.2), seeds=100)
+        assert main(["verify", "--op", "4", "--a", "0.5,0.2", "--seeds", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not ran

@@ -1,7 +1,10 @@
 """Tests for heredity tensors: application, validation, structure detection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qsodyn.catalog import operator_tensor
 from qsodyn.operators import (
@@ -345,3 +348,51 @@ class TestWitnessScanMatchesReference:
                 assert permuted_ell_volterra(T, tol) == expected
                 found.add(expected[1].ell if expected else None)
         assert found >= {0, 1, 2, 3, None}  # every ell occurs, and so does "no relabeling"
+
+
+# Adversarial inputs to from_rows: it raises ValueError or returns a tensor that
+# holds exactly the given rows, symmetric, and that `validate` never passes falsely.
+
+_ADVERSARIAL = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.0, -0.0, -1e-11, 1.5, -1.0,
+                1e308, 0.5, 1.0]
+_entries = st.floats() | st.sampled_from(_ADVERSARIAL)
+_sizes = st.integers(min_value=-2, max_value=3) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.0, 2.5])
+
+
+@st.composite
+def _rows(draw):
+    m = draw(_sizes)
+    n = m if isinstance(m, int) and 1 <= m <= 3 else draw(st.integers(1, 3))
+    key = draw(st.sampled_from([int, float]))  # 1.0 == 1 as a dict key
+    rows = {(key(i), key(j)): tuple(draw(_entries) for _ in range(n))
+            for i in range(1, n + 1) for j in range(i, n + 1)}
+    return m, rows
+
+
+class TestFromRowsAdversarial:
+    @given(args=_rows())
+    @example(args=(2, {(1.0, 1.0): (1.0, 0.0), (1.0, 2.0): (0.5, 0.5), (2.0, 2.0): (0.0, 1.0)}))
+    @example(args=(2.0, {(1, 1): (1.0, 0.0), (1, 2): (0.5, 0.5), (2, 2): (0.0, 1.0)}))
+    @example(args=(math.nan, {}))
+    @example(args=(1, {(1, 1): (math.nan,)}))
+    @example(args=(1, {("a", 1): (1.0,), (1, 1): (1.0,)}))  # keys that do not sort together
+    def test_rejects_or_holds_the_rows(self, args):
+        m, rows = args
+        try:
+            T = HeredityTensor.from_rows(m, rows)
+        except ValueError:
+            return
+        P = T.table
+        assert T.m == m and P.shape == (m, m, m)
+        for (i, j), row in rows.items():
+            want = np.array(row, dtype=float)
+            assert P[int(i) - 1, int(j) - 1].tobytes() == want.tobytes()
+            assert P[int(j) - 1, int(i) - 1].tobytes() == want.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = validate(T)
+        sound = (np.all(np.isfinite(P)) and np.all(P >= -1e-12)
+                 and np.all(np.abs(P.sum(axis=2) - 1.0) <= 1e-12))
+        assert report.ok == bool(sound)
+        if not np.all(np.isfinite(P)):
+            assert any(v.kind == "non_finite" for v in report.violations)

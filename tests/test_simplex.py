@@ -1,10 +1,11 @@
 """Tests for simplex points, support relations, and sampling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qsodyn.simplex import (
     SimplexPoint,
@@ -201,3 +202,64 @@ def test_singular_excludes_equivalent(m1, m2, seed):
 def test_triangle_inequality(seed):
     x, y, z = sample(3, seed, 3)
     assert l1_distance(x, z) <= l1_distance(x, y) + l1_distance(y, z) + 1e-12
+
+
+# Adversarial constructor inputs -----------------------------------------------
+# Each constructor either raises ValueError or returns a valid simplex point.
+
+_ADVERSARIAL = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                0.0, -0.0, -1e-13, -1e-11, 1.0 + 1e-10, 1.0 + 1e-8, 1.5, -1.0, 1e308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_floats = st.floats() | st.sampled_from(_ADVERSARIAL)
+# Small integers in and out of range, and floats standing where an integer belongs.
+_counts = st.integers(min_value=-3, max_value=6) | st.sampled_from(_ADVERSARIAL + [2.0, 3.0])
+
+
+def _assert_valid(p, m):
+    coords = p.coords
+    assert p.m == m and coords.shape == (m,)
+    assert np.all(np.isfinite(coords)) and np.all(coords >= 0.0)
+    assert abs(coords.sum() - 1.0) <= 1e-12
+
+
+class TestAdversarialConstructors:
+    @given(coords=st.lists(_floats, min_size=1, max_size=4))
+    @example(coords=[5e-324, 1.0, 0.0])
+    @example(coords=[-0.0, 0.5, 0.5])
+    @example(coords=[-1e-13, 0.5, 0.5 + 1e-13])
+    @example(coords=[1e308, 1e308, -1e308])
+    def test_simplex_point(self, coords):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = SimplexPoint(coords)
+        except ValueError:
+            return
+        _assert_valid(p, len(coords))
+        # Nothing outside the documented tolerances is accepted.
+        assert min(coords) >= -1e-12 and abs(math.fsum(coords) - 1.0) <= 1e-9 + 1e-15
+
+    @given(i=_counts, m=_counts)
+    @example(i=2.0, m=3)
+    @example(i=1, m=3.0)
+    @example(i=1, m=math.inf)
+    def test_vertex(self, i, m):
+        try:
+            p = vertex(i, m)
+        except ValueError:
+            return
+        _assert_valid(p, m)
+        assert p[i - 1] == 1.0 and isinstance(i, int) and isinstance(m, int)
+
+    @given(m=_counts, seed=st.integers(min_value=-2, max_value=10 ** 9) | _counts, count=_counts)
+    @example(m=3, seed=1, count=math.nan)
+    @example(m=3, seed=math.nan, count=2)
+    @example(m=3.0, seed=1, count=2)
+    @example(m=3, seed=-1, count=2)
+    def test_sample(self, m, seed, count):
+        try:
+            points = sample(m, seed, count)
+        except ValueError:
+            return
+        assert len(points) == count
+        for p in points:
+            _assert_valid(p, m)
