@@ -387,8 +387,7 @@ class PointSet:
         return out
 
     def min_l1_distance(self, x):
-        """Distance from x to the set (curve closures included): a float for
-        one point, an (n,) array for the rows of an (n, 3) array."""
+        """l1 distance from x to the set (curve closures included), per row for an (n, 3) x."""
         arr = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
         X = arr.reshape(-1, arr.shape[-1])
         P = np.array([p.coords for p in self.points]).reshape(-1, X.shape[1])
@@ -415,9 +414,10 @@ def _curve_min_distance(curve: CurveFamily, X: np.ndarray) -> np.ndarray:
         pts = curve.coords(np.clip(ts, lo, hi).ravel()).reshape(ts.shape + (3,))
         return np.minimum(np.abs(ends - X[:, None]).sum(axis=2).min(axis=1),
                           np.abs(pts - X[:, None]).sum(axis=2).min(axis=1))
-    rows = np.arange(X.shape[0])
-    best = np.full(X.shape[0], math.inf)
-    lo, hi = np.full(X.shape[0], lo), np.full(X.shape[0], hi)
+    if len(X) > 32:  # rows in blocks keep the (rows, 257, 3) scan arrays, and peak memory, small
+        return np.concatenate([_curve_min_distance(curve, X[k:k + 32]) for k in range(0, len(X), 32)])
+    rows, best = np.arange(len(X)), np.full(len(X), math.inf)
+    lo, hi = np.full(len(X), lo), np.full(len(X), hi)
     for _ in range(8):  # each scan narrows [lo, hi] 128-fold; 8 reach float resolution
         ts = np.linspace(lo, hi, 257, axis=1)
         dists = np.abs(curve.coords(ts.ravel()).reshape(ts.shape + (3,)) - X[:, None]).sum(axis=2)
