@@ -67,6 +67,7 @@ from .dynamics import (
     iterate,
     limit_prediction,
     omega_limit,
+    omega_limits,
     periodic2_exact,
     region_classify,
     regime,
@@ -93,7 +94,7 @@ __all__ = [
     "classes_fixed_parameter", "REFERENCE_CLASSES", "matches_reference",
     "partition_stabilizer", "polynomial_text",
     "ANALYZED_OPS", "CYCLE_PARAM_SUP", "regime", "scalar_map", "scalar_map_report",
-    "iterate", "omega_limit", "TrajectoryReport", "trajectory_csv",
+    "iterate", "omega_limit", "omega_limits", "TrajectoryReport", "trajectory_csv",
     "slice_fixed_height", "slice_cycle_heights", "edge_fixed_height",
     "PointSet", "CurveFamily", "fixed_points_exact", "periodic2_exact",
     "fixed_points_numeric", "RegionTag", "region_classify",

@@ -31,7 +31,7 @@ from .dynamics import (
     BALANCED_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    omega_limit,
+    omega_limits,
     regime,
     trajectory_csv,
     verify_predictions,
@@ -164,7 +164,9 @@ def _emit_json(payload: dict, out: Optional[Path]) -> None:
     _emit(jsonio.dumps(payload), out)
 
 
-DEGENERATE_PARAMS = (0.0, 0.5, 1.0)
+# The classifier's match tolerance. Coefficients are 0, 1, a or 1 - a, so a link that holds
+# at no other parameter holds within this tolerance only within it of 0, 1/2 or 1.
+CLASSIFY_TOL, DEGENERATE_PARAMS = 1e-12, (0.0, 0.5, 1.0)
 
 
 def _cmd_catalog(args) -> int:
@@ -187,12 +189,10 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    classes = classes_fixed_parameter(args.a) if args.strict else classify_catalog(args.a)
-    degenerate = args.a in DEGENERATE_PARAMS
-    if degenerate:
-        comparison = "degenerate parameter"
-    else:
-        comparison = "MATCH" if matches_reference(classes) else "MISMATCH"
+    classes = (classes_fixed_parameter if args.strict else classify_catalog)(args.a, CLASSIFY_TOL)
+    degenerate = any(abs(args.a - b) <= CLASSIFY_TOL for b in DEGENERATE_PARAMS)
+    comparison = ("degenerate parameter" if degenerate else
+                  "MATCH" if matches_reference(classes) else "MISMATCH")
     payload = {
         "schema_version": 1,
         "a": args.a,
@@ -259,7 +259,7 @@ def _cmd_simulate(args) -> int:
         if args.out is None:
             raise UsageError("CSV export needs --out to name the files")
 
-    reports = [omega_limit(T, x0, tol=tol, max_iter=max_iter) for x0 in points]
+    reports = omega_limits(T, [p.coords for p in points], tol=tol, max_iter=max_iter)
     payload = {
         "schema_version": 1,
         "source": source,

@@ -152,7 +152,7 @@ def scalar_map_report(
 
     target = 0.0 if side == "below" else 1.0
     steps, _ = _iterate_until(lambda x: _scalar_step(x, a), xs[interior], max_iter,
-                              lambda cur, nxt: (np.abs(nxt - target) <= tol, nxt))
+                              lambda t, cur, nxt: (np.abs(nxt - target) <= tol, nxt))
     missed = int(np.count_nonzero(steps < 0))
     if missed:
         failures.append(f"{missed} orbits missed {target} within {max_iter} steps")
@@ -170,10 +170,8 @@ def iterate(T: HeredityTensor, x0: SimplexPoint, n: int) -> list[SimplexPoint]:
     if n < 0:
         raise ValueError("need n >= 0")
     out = [x0]
-    cur = x0
     for _ in range(n):
-        cur = apply(T, cur)
-        out.append(cur)
+        out.append(apply(T, out[-1]))
     return out
 
 
@@ -187,8 +185,10 @@ class Outcome:
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    initial: SimplexPoint
-    iterates_kept: tuple[tuple[int, SimplexPoint], ...]
+    """One orbit; each kept iterate is (step, float tuple), rounded as `SimplexPoint` rounds."""
+
+    initial: tuple[float, ...]
+    iterates_kept: tuple[tuple[int, tuple[float, ...]], ...]
     steps: int
     outcome: Outcome
     final_residuals: tuple[float, float]
@@ -198,25 +198,23 @@ class TrajectoryReport:
             "schema_version": 1,
             "initial": list(self.initial),
             "steps": self.steps,
-            "outcome": {
-                "kind": self.outcome.kind,
-                "points": [list(p) for p in self.outcome.points],
-            },
+            "outcome": {"kind": self.outcome.kind, "points": list(map(list, self.outcome.points))},
             # The two-step residual is inf at step 1 and is written as null.
             "final_residuals": [None if math.isinf(r) else r for r in self.final_residuals],
-            "iterates_kept": [
-                {"step": s, "x": list(p)} for s, p in self.iterates_kept
-            ],
+            "iterates_kept": [{"step": s, "x": list(x)} for s, x in self.iterates_kept],
         }
 
 
-def omega_limit(
-    T: HeredityTensor,
-    x0: SimplexPoint,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> TrajectoryReport:
-    """Iterate until a fixed point or a 2-cycle is detected, or give up.
+def omega_limit(T: HeredityTensor, x0: SimplexPoint, tol: float = DEFAULT_TOL,
+                max_iter: int = DEFAULT_MAX_ITER) -> TrajectoryReport:
+    """The report of `omega_limits` for the single start x0."""
+    return omega_limits(T, x0.coords[None], tol, max_iter)[0]
+
+
+def omega_limits(T: HeredityTensor, X0: np.ndarray, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER) -> list[TrajectoryReport]:
+    """Iterate every start row of X0 (n, m) until it reaches a fixed point or
+    a 2-cycle, or give up; one report per row, in order.
 
     A fixed point requires the one-step residual to fall to tol. A 2-cycle
     requires the two-step residual to fall to tol while the one-step residual
@@ -226,45 +224,44 @@ def omega_limit(
 
     Kept iterates: step 0, every step up to 100, then steps 101, 127, 159,
     ..., each the ceiling of 1.25 times the last kept one, plus the final
-    step.
-
-    This one-orbit loop is kept apart from the batched `_iterate_until` for
-    two measured reasons (OpenBLAS 0.3.31, 2-vCPU Xeon). A one-row matrix
-    product and a batched one differ in the last bit: on the five benchmark
-    `simulate` (op, a) pairs, 300 rows and 200 steps, 49,619 of 300,000
-    batched row-steps differed, so `simulate --count N` cannot run as one
-    batch. And one orbit run through the batch loop with a vectorized stop
-    test took 8.3-9.9 us per step against 5.6-6.6 us here.
+    step. Rows leave the batch at the step they stop, and each row's image is
+    a one-row product (see `apply_array`), so every orbit is bit for bit the
+    orbit of its start alone.
     """
     _check_budget(tol, max_iter)
-    if x0.m != T.m:
-        raise ValueError(f"dimension mismatch: tensor m={T.m}, point m={x0.m}")
-    cur, prev = x0.coords, math.inf  # the two-step residual is inf at step 1
-    kept: list[tuple[int, np.ndarray]] = [(0, cur)]
-    next_keep = 101
-    outcome = None
-    for t in range(1, max_iter + 1):
-        nxt = apply_array(T, cur)
-        d1 = float(np.abs(nxt - cur).sum())
-        d2 = float(np.abs(nxt - prev).sum())
-        if d1 <= tol:
-            outcome = Outcome("fixed_point", (SimplexPoint(nxt),))
-        elif d2 <= tol and d1 > 10.0 * tol:
-            outcome = Outcome("two_cycle", (SimplexPoint(cur), SimplexPoint(nxt)))
-        if t <= 100 or t == next_keep or t == max_iter or outcome:
-            kept.append((t, nxt))
-            if t == next_keep:
-                next_keep = math.ceil(1.25 * t)
-        if outcome:
-            break
-        prev, cur = cur, nxt
-    return TrajectoryReport(
-        initial=x0,
-        iterates_kept=tuple((s, SimplexPoint(arr)) for s, arr in kept),
-        steps=t,
-        outcome=outcome or Outcome("undecided", ()),
-        final_residuals=(d1, d2),
-    )
+    X0 = np.asarray(X0, dtype=np.float64)
+    if X0.ndim != 2 or X0.shape[1] != T.m or not len(X0):
+        raise ValueError(f"dimension mismatch: need start rows (n >= 1, {T.m}), got {X0.shape}")
+    schedule, t = set(range(101)) | {max_iter}, 101
+    while t < max_iter:
+        schedule.add(t)
+        t = math.ceil(1.25 * t)
+    kept = [[(0, x)] for x in map(tuple, simplex_rows(X0).tolist())]
+    outcomes = [Outcome("undecided", ())] * len(X0)
+
+    def stop(t, state, new_state, rows):
+        nxt = new_state[:, 0]
+        d = np.abs(nxt[:, None] - state).sum(axis=2)  # (one-step, two-step) residuals
+        fixed = d[:, 0] <= tol
+        done = fixed | ((d[:, 1] <= tol) & (d[:, 0] > 10.0 * tol))
+        if t in schedule or done.any():
+            held = done | (t in schedule)
+            for r, x in zip(rows[held].tolist(), map(tuple, simplex_rows(nxt[held]).tolist())):
+                kept[r].append((t, x))
+            for r, f, c, x in zip(rows[done].tolist(), fixed[done].tolist(),
+                                  state[done, 0], nxt[done]):
+                outcomes[r] = (Outcome("fixed_point", (SimplexPoint(x),)) if f else
+                               Outcome("two_cycle", (SimplexPoint(c), SimplexPoint(x))))
+        return done, d
+
+    # Each row of the state stacks (current, previous); the two-step residual is inf at step 1.
+    state = np.stack((X0, np.full_like(X0, np.inf)), axis=1)
+    steps, final = _iterate_until(
+        lambda S: np.concatenate((apply_array(T, S[:, :1]), S[:, :1]), axis=1),
+        state, max_iter, stop, np.arange(len(X0)))
+    results = zip(X0.tolist(), kept, steps.tolist(), outcomes, final.tolist())
+    return [TrajectoryReport(tuple(x0), tuple(path), s if s > 0 else max_iter, outcome, tuple(d))
+            for x0, path, s, outcome, d in results]
 
 
 def trajectory_csv(report: TrajectoryReport) -> str:
@@ -274,12 +271,9 @@ def trajectory_csv(report: TrajectoryReport) -> str:
     """
     half_sqrt3 = math.sqrt(3.0) / 2.0
     lines = ["step,x1,x2,x3,u,v"]
-    for step, p in report.iterates_kept:
-        x1, x2, x3 = p.coords
-        u = x2 + x3 / 2.0
-        v = half_sqrt3 * x3
-        nums = ",".join(format(val, ".17g") for val in (x1, x2, x3, u, v))
-        lines.append(f"{step},{nums}")
+    for step, (x1, x2, x3) in report.iterates_kept:
+        nums = (x1, x2, x3, x2 + x3 / 2.0, half_sqrt3 * x3)
+        lines.append(f"{step}," + ",".join(format(val, ".17g") for val in nums))
     return "\n".join(lines) + "\n"
 
 
@@ -903,7 +897,7 @@ def _run_case(T: HeredityTensor, X0: np.ndarray, kind: str, targets, tol: float,
     holds the k = 1 or 2 predicted points of each row, shape (n, k, 3).
     Point targets compare the current state; cycle targets compare the
     unordered pair (previous, current) against the predicted pair."""
-    def distance(cur, nxt, p1, p2):
+    def distance(t, cur, nxt, p1, p2):
         d = np.abs(nxt - p1).sum(axis=1)
         if kind == "cycle":
             d = np.minimum(np.maximum(d, np.abs(cur - p2).sum(axis=1)),
@@ -918,22 +912,23 @@ def _run_case(T: HeredityTensor, X0: np.ndarray, kind: str, targets, tol: float,
 def _iterate_until(step, X: np.ndarray, max_iter: int, stop, *carried: np.ndarray):
     """Iterate each row of the batch X under `step` until `stop` says it is done.
 
-    stop(cur, nxt, *carried) returns (done, value) for the rows still
-    running. A row leaves the batch at the step it is done, taking its rows
-    of `carried` along; rows are never reordered. Returns per-row (steps,
-    value at the last step), with steps = -1 for rows that ran out of
-    max_iter. Rows must leave exactly at the step they are done, because a
-    one-row matrix product can differ in the last bit from a batched one.
+    stop(t, cur, nxt, *carried) returns (done, value) for the rows still
+    running at step t. A row leaves exactly at the step it is done (on the
+    matrix route of `apply_array` its last bit depends on the batch), taking its
+    rows of `carried` along; rows are never reordered. Returns per-row (steps,
+    value at the last step), with steps = -1 where max_iter ran out.
     """
     steps = np.full(X.shape[0], -1, dtype=np.int64)
-    final = np.full(X.shape[0], np.inf)
+    final = None  # shaped per row like the values of stop, once one is taken
     idx = np.arange(X.shape[0])
     t = 0
     while idx.size and t < max_iter:
         t += 1
         nxt = step(X)
-        done, value = stop(X, nxt, *carried)
-        if t == max_iter or np.any(done):
+        done, value = stop(t, X, nxt, *carried)
+        if t == max_iter or done.any():
+            if final is None:
+                final = np.full(steps.shape + value.shape[1:], np.inf)
             final[idx] = value
             steps[idx[done]] = t
             keep = ~done

@@ -11,6 +11,7 @@ from json.encoder import encode_basestring_ascii as _quote  # what json.dumps wr
 
 _17G = "%.17g".__mod__
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_TYPES = (float, int, dict, list, tuple, str, bool, type(None))  # a subclass takes the first base
 
 
 def dumps(obj) -> str:
@@ -29,24 +30,27 @@ def _floats(values) -> str:
 def _render(obj, pad: str, keys: dict[str, str]) -> str:
     """obj as JSON text. pad is the line break and indent of obj's last line;
     keys caches the quoted text of each dict key."""
-    if isinstance(obj, float):
+    kind = type(obj)
+    if kind not in _TYPES:  # a subclass such as numpy.float64 follows its base type's rule
+        kind = next((base for base in _TYPES if isinstance(obj, base)), kind)
+    if kind is float:
         return _floats((obj,))
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None or obj is True or obj is False:
-        return _CONSTANTS[obj]
-    if isinstance(obj, int):
+    if kind is int:
         return str(obj)
-    if isinstance(obj, dict):
+    if kind is dict:
         for key in obj.keys() - keys.keys():
             keys[key] = _quote(key) + ": "  # _quote raises TypeError on a key that is no str
         heads, values, brackets = [keys[key] for key in obj], obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         if obj and set(map(type, obj)) == {float}:
             return "[" + _floats(obj) + "]"
         if obj and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join([_render(v, pad, keys) for v in obj]) + "]"
         heads, values, brackets = [""] * len(obj), obj, "[]"
+    elif kind is str:
+        return _quote(obj)
+    elif kind is bool or obj is None:
+        return _CONSTANTS[obj]
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
     if not values:

@@ -112,21 +112,18 @@ class HeredityTensor:
 # ---------------------------------------------------------------------------
 
 def apply_array(T: HeredityTensor, x: np.ndarray, renormalize: bool = True) -> np.ndarray:
-    """Raw image of one point (m,) or a batch (n, m) under the operator.
+    """Raw image of the points x (..., m), each row rescaled to unit sum unless
+    renormalize=False (the defect is pure roundoff: the tensor rows are stochastic).
 
-    With renormalize=True (default) each image row is rescaled to unit sum,
-    matching what the SimplexPoint constructor would do; the defect is pure
-    roundoff since the tensor rows are stochastic.
+    The BLAS route of the one matrix product fixes the last bit. A point (m,)
+    and a stack (n, 1, m) go one row at a time (the vector route), so each row
+    equals its one-point call bit for bit; a batch (n, m) takes the matrix
+    route, whose rows can differ from one-point calls in the last bit.
     """
     m = T.m
-    flat = T.table.reshape(m * m, m)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    prods = (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], m * m)
-    out = prods @ flat
-    if renormalize:
-        out = out / out.sum(axis=1, keepdims=True)
-    return out[0] if single else out
+    prods = (x[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], m * m)
+    out = prods @ T.table.reshape(m * m, m)
+    return out / out.sum(axis=-1, keepdims=True) if renormalize else out
 
 
 def apply(T: HeredityTensor, x: SimplexPoint) -> SimplexPoint:

@@ -31,6 +31,7 @@ class SimplexPoint:
 
     __slots__ = ("_coords",)
 
+    @np.errstate(over="ignore")  # a sum that overflows is inf, which is rejected
     def __init__(self, coords: Iterable[float]):
         arr = np.array(list(coords) if not isinstance(coords, np.ndarray) else coords,
                        dtype=np.float64)
@@ -94,6 +95,7 @@ class SimplexPoint:
         return SimplexPoint(data)
 
 
+@np.errstate(over="ignore")  # a sum that overflows is inf, which is rejected
 def simplex_rows(X: np.ndarray) -> np.ndarray:
     """The rows of X (..., m) as `SimplexPoint` stores them, bit for bit; raises
     ValueError if the constructor would reject a row."""

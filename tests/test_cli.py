@@ -510,3 +510,47 @@ class TestDeterminism:
         code, out, _ = _run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == golden["cli " + " ".join(argv)]
+
+
+class TestSimulateDigests:
+    # Unlike the seed-free outputs above, these bytes come from BLAS products (the
+    # vector route of `apply_array`), so they hold for the numpy/OpenBLAS build that
+    # recorded perfbench/golden.json.
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--op", str(op), "--a", repr(a), "--seed", str(seed), "--count", str(count))
+        for seed in (7, 11)
+        for op, a, count in ((13, 0.45, 300), (28, 0.3, 300), (25, 0.55, 300), (4, 0.5, 30),
+                             (13, 0.5, 300))
+    ])
+    def test_benchmark_simulate_outputs_match_recorded_digests(self, capsys, argv):
+        golden = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["cli " + " ".join(argv)]
+
+
+class TestDegenerateWithinTolerance:
+    # The classifier links entries within 1e-12, so a parameter that close to
+    # 0, 1/2 or 1 is degenerate even when it is not exactly one of them.
+    @pytest.mark.parametrize("argv,classes", [
+        (("classify", "--a", "1e-13"), 4),
+        (("classify", "--a", "0.9999999999999"), 8),
+        (("classify", "--strict", "--a", "0.5000000000001"), 20),
+    ])
+    def test_near_root_is_degenerate(self, capsys, argv, classes):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["degenerate"] is True
+        assert data["class_count"] == classes
+        assert data["reference_comparison"] == "degenerate parameter"
+
+    @pytest.mark.parametrize("a", ["1e-11", "0.49999999999", "0.50000000001", "0.99999999999"])
+    def test_point_further_off_a_root_is_generic(self, capsys, a):
+        code, out, _ = _run(capsys, "classify", "--a", a)
+        assert code == 0
+        data = json.loads(out)
+        assert data["degenerate"] is False
+        assert data["class_count"] == 20
+        assert data["reference_comparison"] == "MATCH"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qsodyn.simplex import (
     equivalent,
     l1_distance,
     sample,
+    simplex_rows,
     singular,
     support,
     vertex,
@@ -263,3 +265,16 @@ class TestAdversarialConstructors:
         assert len(points) == count
         for p in points:
             _assert_valid(p, m)
+
+
+class TestOverflowingSums:
+    def test_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum inf"):
+                SimplexPoint((1e308, 1e308, 1e308))
+            with pytest.raises(ValueError, match="simplex points"):
+                simplex_rows(np.array([[0.2, 0.3, 0.5], [1e308, 1e308, 1e308]]))
+            # A sum that does not overflow still reports its value.
+            with pytest.raises(ValueError, match="sum 3.0"):
+                SimplexPoint((1.0, 1.0, 1.0))
