@@ -3,6 +3,7 @@
 Run with: python demos/limit_behavior.py
 """
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,9 @@ report = omega_limit(operator_tensor(25, 0.5), SimplexPoint((0.2, 0.4, 0.4)))
 print(f"\noperator 25, a = 0.5: {report.outcome.kind} at "
       f"{np.round(report.outcome.points[0].coords, 9)}")
 
-# Trajectories export as CSV with ternary plot coordinates (u, v).
-out = Path("trajectory_op13.csv")
+# Trajectories export as CSV with ternary plot coordinates (u, v); the file goes to a
+# fresh temporary directory, so running the demo leaves the working directory as it was.
+out = Path(tempfile.mkdtemp()) / "trajectory_op13.csv"
 out.write_text(trajectory_csv(omega_limit(operator_tensor(13, 0.2), x0)))
 print(f"\nwrote {out} ({len(out.read_text().splitlines()) - 1} rows, "
       "columns step,x1,x2,x3,u,v)")

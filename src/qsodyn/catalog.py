@@ -258,12 +258,17 @@ def _conjugates(tables: np.ndarray) -> np.ndarray:
     return tables[..., idx[:, :, None, None], idx[:, None, :, None], idx[:, None, None, :]]
 
 
+# The classifier's match tolerance. Coefficients are 0, 1, a or 1 - a, so a link that holds
+# at no other parameter holds within this tolerance only within it of 0, 1/2 or 1.
+MATCH_TOL, DEGENERATE_PARAMS = 1e-12, (0.0, 0.5, 1.0)
+
+
 def _check_match_tol(tol: float) -> None:
     if not 0.0 <= tol < np.inf:  # a max-norm distance; 0 asks for exact matches
         raise ValueError("tol must be finite and >= 0")
 
 
-def are_conjugate(T1: HeredityTensor, T2: HeredityTensor, tol: float = 1e-12) -> Optional[Permutation]:
+def are_conjugate(T1: HeredityTensor, T2: HeredityTensor, tol: float = MATCH_TOL) -> Optional[Permutation]:
     """First permutation (lexicographic) carrying T1 onto T2 within tol, if any."""
     _check_match_tol(tol)
     if T1.m != T2.m:
@@ -286,7 +291,7 @@ REFERENCE_CLASSES: tuple[frozenset[int], ...] = (
 )
 
 
-def classify_catalog(a: float, tol: float = 1e-12, merge_mirror: bool = True) -> list[tuple[int, ...]]:
+def classify_catalog(a: float, tol: float = MATCH_TOL, merge_mirror: bool = True) -> list[tuple[int, ...]]:
     """Conjugacy classes of the 36 catalog entries at parameter a.
 
     Classes follow the parametric families: two entries are grouped when some
@@ -311,7 +316,7 @@ def classify_catalog(a: float, tol: float = 1e-12, merge_mirror: bool = True) ->
     return sorted({tuple(int(k) + 1 for k in np.flatnonzero(row)) for row in linked})
 
 
-def classes_fixed_parameter(a: float, tol: float = 1e-12) -> list[tuple[int, ...]]:
+def classes_fixed_parameter(a: float, tol: float = MATCH_TOL) -> list[tuple[int, ...]]:
     """Strict same-parameter conjugacy classes (no mirror merging)."""
     return classify_catalog(a, tol=tol, merge_mirror=False)
 

@@ -17,6 +17,8 @@ from typing import Optional
 from . import jsonio
 from .catalog import (
     CATALOG_PARTITION,
+    DEGENERATE_PARAMS,
+    MATCH_TOL,
     OperatorSpec,
     classes_fixed_parameter,
     classify_catalog,
@@ -72,22 +74,21 @@ _SEEDS = _domain(int, lambda n: n >= 1, "--seeds must be >= 1")
 _COUNT = _domain(int, lambda n: n >= 1, "--count must be >= 1")
 
 
-def _a_list(text: str) -> tuple[float, ...]:
-    """`verify --a`: every item is parsed before any is range-checked."""
+def _float_list(flag: str, text: str) -> list[float]:
+    """A comma list of floats; every item is parsed before any is range-checked."""
     try:
-        values = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"could not parse --a {text!r}: {exc}") from None
-    return tuple(map(_A, values))
+        raise UsageError(f"could not parse {flag} {text!r}: {exc}") from None
+
+
+def _a_list(text: str) -> tuple[float, ...]:
+    return tuple(map(_A, _float_list("--a", text)))
 
 
 def _parse_x0(text: str) -> SimplexPoint:
     try:
-        coords = [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"could not parse --x0 {text!r}: {exc}") from None
-    try:
-        return SimplexPoint(coords)
+        return SimplexPoint(_float_list("--x0", text))
     except ValueError as exc:
         raise UsageError(f"--x0 is not a simplex point: {exc}") from None
 
@@ -152,21 +153,15 @@ def _write(path: Path, text: str) -> None:
 
 
 def _emit(text: str, out: Optional[Path]) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        _write(out, text if text.endswith("\n") else text + "\n")
+        _write(out, text)
 
 
 def _emit_json(payload: dict, out: Optional[Path]) -> None:
-    _emit(jsonio.dumps(payload), out)
-
-
-# The classifier's match tolerance. Coefficients are 0, 1, a or 1 - a, so a link that holds
-# at no other parameter holds within this tolerance only within it of 0, 1/2 or 1.
-CLASSIFY_TOL, DEGENERATE_PARAMS = 1e-12, (0.0, 0.5, 1.0)
+    _emit(jsonio.dumps({"schema_version": 1, **payload}), out)
 
 
 def _cmd_catalog(args) -> int:
@@ -184,17 +179,16 @@ def _cmd_catalog(args) -> int:
             "structure_check": {"partition_index": 2, "passed": check.passed},
             "validation_ok": validate(T).ok,
         })
-    _emit_json({"schema_version": 1, "a": args.a, "operators": entries}, args.out)
+    _emit_json({"a": args.a, "operators": entries}, args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    classes = (classes_fixed_parameter if args.strict else classify_catalog)(args.a, CLASSIFY_TOL)
-    degenerate = any(abs(args.a - b) <= CLASSIFY_TOL for b in DEGENERATE_PARAMS)
+    classes = (classes_fixed_parameter if args.strict else classify_catalog)(args.a)
+    degenerate = any(abs(args.a - b) <= MATCH_TOL for b in DEGENERATE_PARAMS)
     comparison = ("degenerate parameter" if degenerate else
                   "MATCH" if matches_reference(classes) else "MISMATCH")
     payload = {
-        "schema_version": 1,
         "a": args.a,
         "mirror_merged": not args.strict,
         "degenerate": degenerate,
@@ -261,7 +255,6 @@ def _cmd_simulate(args) -> int:
 
     reports = omega_limits(T, [p.coords for p in points], tol=tol, max_iter=max_iter)
     payload = {
-        "schema_version": 1,
         "source": source,
         "tol": tol,
         "max_iter": max_iter,
@@ -285,7 +278,6 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {
-        "schema_version": 1,
         "op": args.op,
         "passed": all(r.passed for r in reports),
         "reports": [r.to_json_dict() for r in reports],
@@ -301,7 +293,6 @@ def _cmd_tensor(args) -> int:
         T = _read_tensor_file(args.tensor)
         report = validate(T)
         payload = {
-            "schema_version": 1,
             "m": T.m,
             "valid": report.ok,
             "violations": report.describe(),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import HeredityTensor, apply, apply_array
 from .catalog import operator_tensor
-from .simplex import SimplexPoint, ZERO_TOL, sample_with_rng, simplex_rows, vertex
+from .simplex import SimplexPoint, ZERO_TOL, require_count, sample_with_rng, simplex_rows, vertex
 
 #: Catalog ids whose limit behavior has closed-form predictions here.
 ANALYZED_OPS = (4, 13, 25, 28)
@@ -77,11 +77,10 @@ def _scalar_step(x, a: float):
 
 
 def _check_budget(tol: float, max_iter: int) -> None:
-    """The one rule for orbit budgets: 0 < tol < inf and max_iter >= 1."""
+    """The one rule for orbit budgets: 0 < tol < inf and an integer max_iter >= 1."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    require_count("max_iter", max_iter, 1)
 
 
 def regime(a: float) -> str:
@@ -167,8 +166,7 @@ def scalar_map_report(
 
 def iterate(T: HeredityTensor, x0: SimplexPoint, n: int) -> list[SimplexPoint]:
     """The orbit segment x^(0), ..., x^(n); each step renormalizes roundoff."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    require_count("n", n, 0)
     out = [x0]
     for _ in range(n):
         out.append(apply(T, out[-1]))
@@ -485,21 +483,10 @@ class _Branch:
             return sample_with_rng(3, rng, count)
         return _edge_points(self.edge, rng.random(count))
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """The next start of the stream that satisfies `holds`."""
-        while True:
-            x = self.candidates(rng, 1)[0]
-            if self.holds(x):
-                return x
-
     def target_coords(self, X: np.ndarray) -> np.ndarray:
         """(n, k, 3) raw coordinates of the k target points of each start row."""
         return np.stack([t.coords(X[:, 0]) if isinstance(t, CurveFamily)
                          else np.broadcast_to(t.coords, X.shape) for t in self.targets], axis=1)
-
-    def target(self, x) -> tuple[SimplexPoint, ...]:
-        """The predicted point or 2-cycle of one start."""
-        return tuple(map(SimplexPoint, self.target_coords(np.asarray(x, dtype=float)[None])[0]))
 
 
 def _off_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
@@ -661,8 +648,7 @@ def fixed_points_numeric(
     """
     if T.m != 3:
         raise ValueError("the oracle is implemented for the 2-simplex (m = 3)")
-    if grid_n < 10:
-        raise ValueError("need grid_n >= 10")
+    require_count("grid_n", grid_n, 10)
     if not 0.0 < refine_tol < math.inf:
         raise ValueError("refine_tol must be positive and finite")
 
@@ -686,10 +672,10 @@ def fixed_points_numeric(
     keep = residuals <= refine_tol
     X, residuals = X[keep], residuals[keep]
 
-    accepted = X[:0]
-    for arr in X[np.lexsort((X[:, 2], X[:, 1], X[:, 0], residuals))]:
-        if np.all(np.abs(accepted - arr).sum(axis=1) > 10.0 * refine_tol):
-            accepted = np.vstack((accepted, arr))
+    X, accepted = X[np.lexsort((X[:, 2], X[:, 1], X[:, 0], residuals))], X[:0]
+    while len(X):  # the best candidate left is kept and drops every candidate near it
+        accepted = np.vstack((accepted, X[:1]))
+        X = X[np.abs(X - X[0]).sum(axis=1) > 10.0 * refine_tol]
     return [SimplexPoint(arr) for arr in accepted[np.lexsort(accepted.T[::-1])]]
 
 
@@ -793,7 +779,8 @@ def limit_prediction(op_id: int, a: float, x0: SimplexPoint) -> LimitPrediction:
     x = x0.coords
     for branch in table.branches:
         if branch.holds(x):
-            return LimitPrediction(branch.kind, branch.target(x), branch.continuum,
+            points = tuple(map(SimplexPoint, branch.target_coords(x[None])[0]))
+            return LimitPrediction(branch.kind, points, branch.continuum,
                                    f"{branch.label} -> {branch.target_text}")
     raise ValueError("no case of the analysis covers this initial point")
 
@@ -861,8 +848,7 @@ def verify_predictions(op_id: int, a_values: Sequence[float], seeds: int = 100,
     otherwise vertex targets use (1e-6, 1e5) and continuum targets (1e-4, 1e6).
     """
     _require_analyzed(op_id)
-    if seeds < 1:
-        raise ValueError("need seeds >= 1")
+    require_count("seeds", seeds, 1)
     _check_budget(DEFAULT_TOL if tol is None else tol,
                   DEFAULT_MAX_ITER if max_iter is None else max_iter)
     # Every parameter must have covered predictions before any orbit runs.

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .permutations import Permutation
-from .simplex import SimplexPoint, ZERO_TOL
+from .simplex import SimplexPoint, ZERO_TOL, require_count
 
 
 class HeredityTensor:
@@ -72,8 +71,7 @@ class HeredityTensor:
         The (j, i) entries are filled symmetrically, so the symmetry
         constraint holds exactly by construction.
         """
-        if not (isinstance(m, Integral) and m >= 1):
-            raise ValueError(f"need an integer m >= 1, got {m!r}")
+        require_count("m", m, 1)
         arr = np.zeros((m, m, m))
         expected = {(i, j) for i in range(1, m + 1) for j in range(i, m + 1)}
         if set(rows) != expected:

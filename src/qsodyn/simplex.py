@@ -40,13 +40,11 @@ class SimplexPoint:
         low = arr.min()
         if low < -NEG_TOL:
             raise ValueError(f"negative coordinate {low} below -{NEG_TOL}")
-        if low < 0.0:
-            arr = np.where(arr < 0.0, 0.0, arr)
+        arr = np.where(arr < 0.0, 0.0, arr)
         s = arr.sum()
         if not abs(s - 1.0) <= SUM_TOL:  # also rejects NaN
             raise ValueError(f"coordinate sum {s} deviates from 1 by more than {SUM_TOL}")
-        if s != 1.0:
-            arr = arr / s
+        arr = arr / s
         arr.flags.writeable = False
         self._coords = arr
 
@@ -103,7 +101,13 @@ def simplex_rows(X: np.ndarray) -> np.ndarray:
     s = Y.sum(axis=-1)
     if not (X.min() >= -NEG_TOL and np.abs(s - 1.0).max() <= SUM_TOL):  # NaN fails too
         raise ValueError("rows must be simplex points up to roundoff")
-    return Y / s[..., None]  # x / 1.0 == x, as when the constructor skips the division
+    return Y / s[..., None]
+
+
+def require_count(name: str, value, low: int) -> None:
+    """The one rule for integer counts: an Integral value >= low (NaN, inf, 2.5, "3" fail)."""
+    if not (isinstance(value, Integral) and value >= low):
+        raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
 
 
 def vertex(i: int, m: int) -> SimplexPoint:
@@ -153,8 +157,7 @@ def sample(m: int, seed: int, count: int) -> list[SimplexPoint]:
     simplex. Identical (m, seed, count) reproduce bit-identical output.
     """
     for name, value, low in (("m", m, 2), ("count", count, 1), ("seed", seed, 0)):
-        if not (isinstance(value, Integral) and value >= low):
-            raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
+        require_count(name, value, low)
     return [SimplexPoint(g) for g in sample_with_rng(m, np.random.default_rng(seed), count)]
 
 

@@ -554,3 +554,19 @@ class TestDegenerateWithinTolerance:
         assert data["degenerate"] is False
         assert data["class_count"] == 20
         assert data["reference_comparison"] == "MATCH"
+
+
+class TestSchemaStamp:
+    @pytest.mark.parametrize("argv", [
+        ("catalog",),
+        ("classify", "--a", "0.3"),
+        ("simulate", "--op", "13", "--a", "0.2", "--x0", "0.3,0.4,0.3"),
+        ("verify", "--op", "13", "--a", "0.2", "--seeds", "2"),
+        ("tensor", "--tensor", "{tensor}"),
+    ], ids=lambda argv: argv[0])
+    def test_json_opens_with_the_stamp(self, capsys, tmp_path, argv):
+        tensor = tmp_path / "t25.json"
+        tensor.write_text(operator_tensor(25, 0.3).to_json())
+        code, out, _ = _run(capsys, *(arg.format(tensor=tensor) for arg in argv))
+        assert code == 0
+        assert out.startswith('{\n  "schema_version": 1,\n')

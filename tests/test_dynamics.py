@@ -441,6 +441,48 @@ class TestOracleMatchesReference:
             assert np.abs(p - q).sum() <= 1e-12
 
 
+def _fixed_points_numeric_loop_dedup(T, grid_n=50, refine_tol=1e-10):
+    """The array oracle as it stood with its dedup as one pass per candidate:
+    a candidate is kept when it lies farther than 10 * refine_tol from every
+    candidate kept before it, in order of residual and then coordinates."""
+    r = np.arange(grid_n + 1)
+    i, j = np.nonzero(np.add.outer(r, r) <= grid_n)
+    X = np.stack((i, j, grid_n - i - j), axis=1) / grid_n
+    X = X / X.sum(axis=1, keepdims=True)
+    for _ in range(4096):
+        V = apply_array(T, X)
+        step = 0.5 * (V - X)
+        X = X + step
+        X = X / X.sum(axis=1, keepdims=True)
+        if np.max(np.abs(step).sum(axis=1)) < 0.1 * refine_tol:
+            break
+    X = np.vstack((X, _edge_roots(T, refine_tol)))
+    residuals = np.abs(apply_array(T, X) - X).sum(axis=1)
+    keep = residuals <= refine_tol
+    X, residuals = X[keep], residuals[keep]
+    accepted = X[:0]
+    for arr in X[np.lexsort((X[:, 2], X[:, 1], X[:, 0], residuals))]:
+        if np.all(np.abs(accepted - arr).sum(axis=1) > 10.0 * refine_tol):
+            accepted = np.vstack((accepted, arr))
+    return [SimplexPoint(arr) for arr in accepted[np.lexsort(accepted.T[::-1])]]
+
+
+class TestOracleDedupMatchesLoop:
+    # At a = 1/2 operators 1, 13 and 25 carry an edge of fixed points, which leaves over
+    # 1,000 candidates. With refine_tol = 2e-4 the dedup radius exceeds the l1 spacing
+    # of the edge scan (2 / 1024), so the greedy order decides which half is kept.
+    @pytest.mark.parametrize("refine_tol", [1e-10, 2e-4])
+    @pytest.mark.parametrize("a", [0.3, 0.5])
+    @pytest.mark.parametrize("op_id", [1, 4, 13, 25, 28])
+    def test_points_bitwise(self, op_id, a, refine_tol):
+        T = operator_tensor(op_id, a)
+        got = fixed_points_numeric(T, refine_tol=refine_tol)
+        want = _fixed_points_numeric_loop_dedup(T, refine_tol=refine_tol)
+        assert len(got) == len(want)
+        assert np.array([p.coords for p in got]).tobytes() == \
+            np.array([p.coords for p in want]).tobytes()
+
+
 class TestNumericOracle:
     @pytest.mark.parametrize("op_id", (13, 4, 28, 25))
     def test_matches_exact_sets(self, op_id):
@@ -724,8 +766,8 @@ class TestBatchLoopMatchesReference:
         table = _limit_table(op_id, a)
         branch = table.branches[branch_idx]
         rng = np.random.default_rng([op_id, branch_idx, 3])
-        X0 = np.array([branch.draw(rng) for _ in range(rows)])
-        targets = [branch.target(x) for x in X0]
+        X0 = np.array([_draw_reference(branch, rng) for _ in range(rows)])
+        targets = [tuple(map(SimplexPoint, branch.target_coords(x[None])[0])) for x in X0]
         T = operator_tensor(op_id, a)
         ref_steps, ref_dist = _run_case_reference(T, X0, branch.kind, targets, tol, 10 ** 6)
         assert (ref_steps > 0).all()
@@ -938,7 +980,7 @@ class TestBatchedStartsMatchReference:
         for op_id, a in PREDICTED:
             for branch in _limit_table(op_id, a).branches:
                 one, many = np.random.default_rng(5), np.random.default_rng(5)
-                drawn = np.array([branch.draw(one) for _ in range(30)])
+                drawn = np.array([_draw_reference(branch, one) for _ in range(30)])
                 chunk = branch.candidates(many, 400)
                 assert drawn.tobytes() == chunk[branch.holds(chunk)][:30].tobytes()
 
@@ -1012,3 +1054,30 @@ class TestEveryParameterCheckedFirst:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not ran
+
+
+# Every integer count of the library, with the least value it accepts.
+_COUNT_SITES = {
+    "sample m": (lambda v: sample(v, 0, 1), "m", 2),
+    "sample count": (lambda v: sample(3, 0, v), "count", 1),
+    "sample seed": (lambda v: sample(3, v, 1), "seed", 0),
+    "from_rows m": (lambda v: HeredityTensor.from_rows(v, {}), "m", 1),
+    "omega_limit max_iter": (lambda v: omega_limit(operator_tensor(13, 0.2), E1, max_iter=v),
+                             "max_iter", 1),
+    "scalar_map_report max_iter": (lambda v: scalar_map_report(0.2, max_iter=v), "max_iter", 1),
+    "verify_predictions seeds": (lambda v: verify_predictions(13, (0.2,), seeds=v), "seeds", 1),
+    "verify_predictions max_iter": (lambda v: verify_predictions(13, (0.2,), seeds=2, max_iter=v),
+                                    "max_iter", 1),
+    "fixed_points_numeric grid_n": (
+        lambda v: fixed_points_numeric(operator_tensor(13, 0.2), grid_n=v), "grid_n", 10),
+    "iterate n": (lambda v: iterate(operator_tensor(13, 0.2), E1, v), "n", 0),
+}
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("site", sorted(_COUNT_SITES))
+    def test_non_integers_and_values_below_the_floor_fail(self, site):
+        call, name, low = _COUNT_SITES[site]
+        for bad in (math.nan, math.inf, -math.inf, 2.5, "3", low - 1):
+            with pytest.raises(ValueError, match=f"need an integer {name} >= {low}, got "):
+                call(bad)
