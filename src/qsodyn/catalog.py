@@ -11,6 +11,7 @@ catalog onto itself and induces the pairing of entries into conjugacy classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,10 +66,10 @@ class OperatorSpec:
     a: float
 
     def __post_init__(self):
-        if not 1 <= self.case_one <= 6:
-            raise ValueError(f"case_one must be 1..6, got {self.case_one}")
-        if not 1 <= self.case_two <= 6:
-            raise ValueError(f"case_two must be 1..6, got {self.case_two}")
+        for name in ("case_one", "case_two"):
+            case = getattr(self, name)
+            if not (isinstance(case, Integral) and 1 <= case <= 6):
+                raise ValueError(f"{name} must be 1..6, got {case!r}")
         if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"parameter a must lie in [0, 1], got {self.a}")
 
@@ -79,8 +80,8 @@ class OperatorSpec:
 
     @staticmethod
     def from_id(op_id: int, a: float) -> "OperatorSpec":
-        if not 1 <= op_id <= 36:
-            raise ValueError(f"operator id must be 1..36, got {op_id}")
+        if not (isinstance(op_id, Integral) and 1 <= op_id <= 36):  # NaN, 2.5 and "3" fail
+            raise ValueError(f"operator id must be 1..36, got {op_id!r}")
         return OperatorSpec((op_id - 1) // 6 + 1, (op_id - 1) % 6 + 1, a)
 
 

@@ -9,6 +9,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -315,5 +316,12 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The console entry: exit with main's code."""
+    code = main()
+    gc.freeze()  # the collector's sweep at interpreter exit frees nothing the OS would not
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

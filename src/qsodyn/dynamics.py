@@ -351,7 +351,8 @@ class CurveFamily:
 
     def sample(self, n: int) -> list[SimplexPoint]:
         """n parameter values spread over the range (excluded values dropped)."""
-        if n < 1:
+        require_count("n", n, 0)
+        if n == 0:
             return []
         if self.include_hi:
             ts = np.linspace(self.lo, self.hi, n)
@@ -373,6 +374,7 @@ class PointSet:
         return not self.points and not self.curves
 
     def sample(self, curve_samples: int = 50) -> list[SimplexPoint]:
+        require_count("curve_samples", curve_samples, 0)
         out = list(self.points)
         for curve in self.curves:
             out.extend(curve.sample(curve_samples))

@@ -79,6 +79,20 @@ class TestBuildOperator:
         with pytest.raises(ValueError):
             OperatorSpec.from_id(37, 0.5)
 
+    @pytest.mark.parametrize("op_id", [math.nan, math.inf, -math.inf, 2.5, "3", 0, 37])
+    def test_ids_off_the_integers_1_to_36(self, op_id):
+        with pytest.raises(ValueError, match=r"operator id must be 1\.\.36"):
+            OperatorSpec.from_id(op_id, 0.3)
+        with pytest.raises(ValueError, match=r"operator id must be 1\.\.36"):
+            operator_tensor(op_id, 0.3)
+
+    @pytest.mark.parametrize("case", [math.nan, math.inf, 2.5, "3", 0, 7])
+    def test_cases_off_the_integers_1_to_6(self, case):
+        with pytest.raises(ValueError, match=r"case_one must be 1\.\.6"):
+            OperatorSpec(case, 1, 0.3)
+        with pytest.raises(ValueError, match=r"case_two must be 1\.\.6"):
+            OperatorSpec(1, case, 0.3)
+
     def test_all_builds_match_printed_coefficients(self):
         # every case pair expands to the written polynomial system, exactly
         for op_id, fn in PRINTED_FORMS.items():

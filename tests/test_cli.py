@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsodyn.catalog import operator_tensor
-from qsodyn.cli import main
+from qsodyn.cli import main, run
 from qsodyn.operators import HeredityTensor
 
 
@@ -530,6 +532,22 @@ class TestSimulateDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == golden["cli " + " ".join(argv)]
 
 
+class TestVerifyDigests:
+    # The verify-hyperbolic workload: MB-sized record lists through the column path of
+    # jsonio. Like the simulate outputs, the bytes hold for the recording BLAS build.
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--op", str(op), "--a", a, "--seeds", "2000", "--seed", str(seed))
+        for seed in (7, 11)
+        for op, a in ((13, "0.2,0.8"), (4, "0.8"), (28, "0.3"), (25, "0.2,0.8"))
+    ])
+    def test_benchmark_verify_outputs_match_recorded_digests(self, capsys, argv):
+        golden = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["cli " + " ".join(argv)]
+
+
 class TestDegenerateWithinTolerance:
     # The classifier links entries within 1e-12, so a parameter that close to
     # 0, 1/2 or 1 is degenerate even when it is not exactly one of them.
@@ -570,3 +588,20 @@ class TestSchemaStamp:
         code, out, _ = _run(capsys, *(arg.format(tensor=tensor) for arg in argv))
         assert code == 0
         assert out.startswith('{\n  "schema_version": 1,\n')
+
+
+class TestConsoleEntry:
+    @pytest.mark.parametrize("argv,code", [
+        (("classify", "--a", "0.3"), 0),
+        (("verify", "--op", "13", "--tol", "nan"), 1),
+        (("simulate", "--op", "13", "--a", "0.2", "--x0", "0.2,0.3,0.5", "--max-iter", "1"), 2),
+    ])
+    def test_run_exits_with_the_code_of_main(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["qsodyn", *argv])
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                run()
+        finally:
+            gc.unfreeze()  # run() freezes the collector for the exit it expects
+        assert exit_.value.code == code
+        assert "Traceback" not in capsys.readouterr().err

@@ -125,6 +125,15 @@ class TestPointsBitIdentical:
         assert got == [p.coords.tobytes() for p in _reference_sample(curve, point, n)]
 
     @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "3", -1])
+    def test_sample_rejects_counts_off_the_integers(self, name, n):
+        curve, _ = FAMILIES[name]
+        with pytest.raises(ValueError):
+            curve.sample(n)
+        with pytest.raises(ValueError):
+            PointSet(curves=(curve,)).sample(n)
+
+    @pytest.mark.parametrize("name", NAMES)
     def test_point_at_rejects_parameters_off_range(self, name):
         curve, _ = FAMILIES[name]
         for t in (curve.lo - 1e-3, curve.hi + 1e-3, math.nan):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,83 @@ class TestMatchesReference:
         assert dumps(payload) == _render_reference(payload)
 
 
+# Lists of dicts that share one key tuple take the column path. Each key draws one
+# column: a kind that path formats in one call, or a mix that falls back.
+_keys = (st.text(st.characters(max_codepoint=127)) | st.text() | st.text().map(lambda t: t + "%")
+         | st.sampled_from(["x0", "é", "%", "%s", "%%", "%(a)s", "100%d"]))
+_rows = st.integers(1, 4).flatmap(lambda w: st.lists(_finite, min_size=w, max_size=w))
+_nested = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda kw: st.lists(st.lists(_finite, min_size=kw[1], max_size=kw[1]),
+                        min_size=kw[0], max_size=kw[0]))
+_cells = [_finite, _finite.map(np.float64), _ints, st.booleans(), st.none(), _text,
+          st.none() | st.booleans(), st.lists(_finite, max_size=4), st.just([])]
+
+
+def _uniform(n, cell):
+    return st.lists(cell, min_size=n, max_size=n)
+
+
+def _columns(n):
+    same_length_rows = _rows.flatmap(
+        lambda row: _uniform(n, st.lists(_finite, min_size=len(row), max_size=len(row))))
+    same_shape_blocks = _nested.flatmap(lambda block: _uniform(n, st.lists(
+        st.lists(_finite, min_size=len(block[0]), max_size=len(block[0])),
+        min_size=len(block), max_size=len(block))))
+    mixed = _uniform(n, st.one_of(*_cells, _rows, _nested, _json))
+    return st.one_of(*[_uniform(n, cell) for cell in _cells], same_length_rows,
+                     same_shape_blocks, mixed)
+
+
+@st.composite
+def _record_lists(draw):
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(2, 6))
+    columns = [draw(_columns(n)) for _ in keys]
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+class TestRecordLists:
+    @given(records=_record_lists(), depth=st.integers(0, 2))
+    @example(records=[{"a%s": [[0.5, 0.25]], "b": 1}, {"a%s": [[0.125, 1.0]], "b": 2}], depth=1)
+    @example(records=[{"x": 1, "y": True}, {"x": True, "y": None}], depth=0)
+    def test_equal_bytes(self, records, depth):
+        obj = records
+        for _ in range(depth):
+            obj = {"level": obj, "records": [obj, records]}
+        assert dumps(obj) == _render_reference(obj)
+
+    def test_blocks_of_records(self):
+        records = [{"i": i, "x": [i / 7, 0.5, 1.0 - i / 7], "p": [[0.25, 0.75]] * (1 + i % 2),
+                    "kind": "fixed", "d": i * 1e-9, "ok": i % 3 != 0} for i in range(700)]
+        assert dumps(records) == _render_reference(records)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 1, 299])
+    @pytest.mark.parametrize("cell", [
+        lambda x: x, np.float64, lambda x: [0.5, x], lambda x: [[0.25, 0.5], [x, 0.5]],
+        lambda x: {"y": x}, lambda x: [{"y": 0.5}, {"y": x}]])
+    def test_non_finite_anywhere_in_a_column(self, bad, index, cell):
+        column = [cell(0.5)] * 300
+        column[index] = cell(bad)
+        for mixed in (False, True):
+            if mixed:
+                column[index - 1] = 7  # an int among the cells sends the column to the generic path
+            with pytest.raises(ValueError):
+                dumps([{"i": i, "v": v} for i, v in enumerate(column)])
+
+    def test_peak_memory_is_bounded_by_the_text(self):
+        records = [{"index": i, "x0": [i / 3e4, 0.5, 0.5 - i / 3e4], "predicted": [[1.0, 0.0, 0.0]],
+                    "kind": "vertex", "steps": 40 + i % 9, "distance": i * 1e-12, "passed": True}
+                   for i in range(20000)]
+        tracemalloc.start()
+        try:
+            text = dumps({"points": records})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
+
+
 class TestRejects:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"),
                                      np.float64("inf"), -np.float64("inf")])
@@ -97,7 +175,8 @@ class TestRejects:
             dumps(wrap(bad))
 
     @pytest.mark.parametrize("bad", [
-        {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {(1, 2): 3}, {1.5: 0.0}, [{"ok": {True: 1}}]])
+        {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {(1, 2): 3}, {1.5: 0.0}, [{"ok": {True: 1}}],
+        [{1: "a"}, {1: "b"}], [{"a": 1, None: 2}, {"a": 3, None: 4}]])
     def test_non_string_keys(self, bad):
         with pytest.raises(TypeError):
             _render_reference(bad)
@@ -106,7 +185,8 @@ class TestRejects:
 
     @pytest.mark.parametrize("bad", [
         object(), {1, 2}, b"bytes", np.int64(3), np.array([1.0]), [1.0, object()],
-        {"a": [complex(1, 2)]}])
+        {"a": [complex(1, 2)]}, [{"a": object()}, {"a": object()}],
+        [{"a": np.int64(1)}, {"a": np.int64(2)}], [{"a": [1.0]}, {"a": [complex(1, 2)]}]])
     def test_unknown_types(self, bad):
         with pytest.raises(TypeError):
             _render_reference(bad)
