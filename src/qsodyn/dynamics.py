@@ -25,6 +25,7 @@ import numpy as np
 
 from .operators import HeredityTensor, apply, apply_array
 from .catalog import operator_tensor
+from .jsonio import Records
 from .simplex import SimplexPoint, ZERO_TOL, require_count, sample_with_rng, simplex_rows, vertex
 
 #: Catalog ids whose limit behavior has closed-form predictions here.
@@ -64,11 +65,15 @@ def scalar_map(x: float, a: float) -> float:
     For a < 1/2 every interior orbit decreases to 0, for a > 1/2 it increases
     to 1; a = 1/2 gives the identity.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument {x} outside [0, 1]")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter {a} outside [0, 1]")
+    _require_unit("argument", x)
+    _require_unit("parameter", a)
     return _scalar_step(x, a)
+
+
+def _require_unit(name: str, value: float) -> None:
+    """The one rule for values in [0, 1]; NaN fails too."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0, 1]")
 
 
 def _scalar_step(x, a: float):
@@ -92,8 +97,7 @@ def regime(a: float) -> str:
     that compares a with 1/2 (exactly); it rejects a outside [0, 1],
     NaN included.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter {a} outside [0, 1]")
+    _require_unit("parameter", a)
     if a == 0.5:
         return "balanced"
     return "below" if a < 0.5 else "above"
@@ -286,8 +290,7 @@ def slice_fixed_height(b: float) -> float:
     for b in [0, 1]. Applies to operator 4 at a = 1/2, whose fixed points form
     the curve (b, h, 1 - b - h) with h this value.
     """
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"slice parameter {b} outside [0, 1]")
+    _require_unit("slice parameter", b)
     return float(_fixed_heights(b))
 
 
@@ -320,8 +323,7 @@ def edge_fixed_height(a: float) -> float:
     cancellation-free form 2 / (3 - 2a + sqrt(4 + (2a - 1)^2)); at a = 1/2 it
     continuously takes the value 1/2.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter {a} outside [0, 1]")
+    _require_unit("parameter", a)
     return 2.0 / (3.0 - 2.0 * a + math.sqrt(4.0 + (2.0 * a - 1.0) ** 2))
 
 
@@ -798,16 +800,86 @@ class PointVerdict:
     passed: bool
 
 
-@dataclass(frozen=True)
+_POINT_KEYS = ("index", "x0", "predicted", "kind", "steps", "distance", "passed")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class CaseResult:
+    """One verification case, its per-point results held as columns: the starts
+    `x0` (n, 3), their k predicted points `predicted` (n, k, 3), `steps` (int64,
+    -1 where undecided) and the final `distance`, all of prediction kind `kind`.
+
+    `CaseResult(label, tol, max_iter, verdicts)` builds the columns from
+    `PointVerdict`s numbered 0..n-1; `verify_predictions` passes the columns.
+    Two cases are equal when their label, budget and verdicts are.
+    """
+
     label: str
     tol: float
     max_iter: int
-    verdicts: tuple[PointVerdict, ...]
+    kind: str
+    x0: np.ndarray
+    predicted: np.ndarray
+    steps: np.ndarray
+    distance: np.ndarray
+
+    def __init__(self, label: str, tol: float, max_iter: int,
+                 verdicts: Optional[Sequence[PointVerdict]] = None, *, kind: str = "point",
+                 x0=(), predicted=(), steps=(), distance=()):
+        if verdicts is not None:
+            verdicts = tuple(verdicts)
+            kind = verdicts[0].prediction_kind if verdicts else kind
+            if any((v.index, v.prediction_kind, v.passed) != (i, kind, v.steps is not None)
+                   for i, v in enumerate(verdicts)):
+                raise ValueError("verdicts must be numbered 0..n-1, share one kind "
+                                 "and pass exactly when they have steps")
+            x0, predicted, distance = ([getattr(v, name) for v in verdicts]
+                                       for name in ("x0", "predicted", "distance"))
+            steps = [-1 if v.steps is None else v.steps for v in verdicts]
+        columns = {name: _frozen(values, dtype) for name, values, dtype in (
+            ("x0", x0, np.float64), ("predicted", predicted, np.float64),
+            ("steps", steps, np.int64), ("distance", distance, np.float64))}
+        if len(set(map(len, columns.values()))) != 1:
+            raise ValueError("the columns of a case must share one length")
+        for name, value in dict(label=label, tol=tol, max_iter=max_iter, kind=kind,
+                                **columns).items():
+            object.__setattr__(self, name, value)
 
     @property
     def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        return bool((self.steps >= 0).all())
+
+    @property
+    def verdicts(self) -> tuple[PointVerdict, ...]:
+        """The per-point results as `PointVerdict`s, built on each call."""
+        rows = zip(self.x0.tolist(), self.predicted.tolist(), self.steps.tolist(),
+                   self.distance.tolist())
+        return tuple(PointVerdict(i, tuple(x0), tuple(map(tuple, pred)), self.kind,
+                                  s if s >= 0 else None, d, s >= 0)
+                     for i, (x0, pred, s, d) in enumerate(rows))
+
+    def points(self) -> Records:
+        """The JSON records of the points, written straight from the columns."""
+        n, steps = len(self.steps), self.steps.tolist()
+        return Records(_POINT_KEYS, (
+            list(range(n)), self.x0, self.predicted, [self.kind] * n,
+            [s if s >= 0 else None for s in steps], self.distance, [s >= 0 for s in steps]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CaseResult) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.label, self.tol, self.max_iter, self.verdicts
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype (a view; the caller's array stays writable)."""
+    arr = np.asarray(values, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -828,11 +900,7 @@ class VerificationReport:
             "base_seed": self.base_seed, "passed": self.passed,
             "cases": [{
                 "label": c.label, "tol": c.tol, "max_iter": c.max_iter, "passed": c.passed,
-                "points": [{
-                    "index": v.index, "x0": list(v.x0), "predicted": [list(p) for p in v.predicted],
-                    "kind": v.prediction_kind, "steps": v.steps, "distance": v.distance,
-                    "passed": v.passed,
-                } for v in c.verdicts],
+                "points": c.points(),
             } for c in self.cases],
         }
 
@@ -868,12 +936,8 @@ def verify_predictions(op_id: int, a_values: Sequence[float], seeds: int = 100,
             case_max = max_iter if max_iter is not None else (
                 VERIFY_CURVE_MAX_ITER if branch.continuum else VERIFY_POINT_MAX_ITER)
             steps, dists = _run_case(T, X, branch.kind, targets, case_tol, case_max)
-            verdicts = tuple(
-                PointVerdict(i, tuple(x0), tuple(map(tuple, pred)), branch.kind,
-                             s if s >= 0 else None, d, s >= 0)
-                for i, (x0, pred, s, d) in enumerate(
-                    zip(X.tolist(), targets.tolist(), steps.tolist(), dists.tolist())))
-            cases.append(CaseResult(branch.label, case_tol, case_max, verdicts))
+            cases.append(CaseResult(branch.label, case_tol, case_max, kind=branch.kind, x0=X,
+                                    predicted=targets, steps=steps, distance=dists))
         reports.append(VerificationReport(op_id, float(a), seeds, base_seed, tuple(cases)))
     return reports
 

@@ -3,19 +3,66 @@
 Every float is written with 17 significant digits, which round-trips every
 64-bit value exactly and keeps repeated runs byte-identical. Lists whose
 elements are all numbers render inline so coordinate triples stay readable.
-A list of dicts that share one key tuple is written column by column, with
-the same bytes as the generic path.
+Records, and a list of dicts that share one key tuple, are written column by
+column, with the same bytes as the generic path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes for a str
+
+import numpy as np
 
 _17G = "%.17g".__mod__
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _TYPES = (float, int, dict, list, tuple, str, bool, type(None))  # a subclass takes the first base
 _BLOCK = 64  # records per batch of column texts, so one batch's texts are alive at a time
+_NON_FINITE = "refusing to serialize a non-finite float"
+
+
+class Records(Sequence):
+    """Dicts that share one key tuple, held column by column: row i is
+    dict(zip(keys, (column[i] for column in columns))).
+
+    A column is a list or tuple of values, or a float64 ndarray of ndim 1, 2
+    or 3 whose rows stand for floats, lists of floats or lists of such lists.
+    Records compare equal to the list of dicts they stand for, and `dumps`
+    writes them with that list's bytes.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        self.keys, self.columns = tuple(keys), tuple(columns)
+        if len(set(self.keys)) != len(self.keys) or len(self.keys) != len(self.columns):
+            raise ValueError("Records need distinct keys, one column per key")
+        if len(set(map(len, self.columns))) > 1:
+            raise ValueError("Records columns must share one length")
+        for column in self.columns:
+            if isinstance(column, np.ndarray) and not (
+                    column.dtype == np.float64 and 1 <= column.ndim <= 3):
+                raise TypeError(f"cannot serialize a {column.dtype} array of ndim {column.ndim}")
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self.keys, [column[i] for column in self.columns])
+        return dict(zip(self.keys, [column[i].tolist() if isinstance(column, np.ndarray)
+                                    else column[i] for column in self.columns]))
+
+    def __iter__(self):
+        keys, cells = self.keys, [column.tolist() if isinstance(column, np.ndarray) else column
+                                  for column in self.columns]
+        return (dict(zip(keys, row)) for row in zip(*cells))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Records, list)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def dumps(obj) -> str:
@@ -26,7 +73,7 @@ def dumps(obj) -> str:
 def _finite(text: str) -> str:
     """text itself; the .17g texts of inf, -inf and nan are the only ones with an n."""
     if "n" in text:
-        raise ValueError("refusing to serialize a non-finite float")
+        raise ValueError(_NON_FINITE)
     return text
 
 
@@ -53,7 +100,7 @@ def _render(obj, pad: str, keys: dict[str, str]) -> str:
         if kinds == {float}:
             return "[" + _floats(obj) + "]"
         if kinds == {dict} and len(obj) > 1 and obj[0] and len(set(map(tuple, obj))) == 1:
-            return _records(obj, pad, keys)
+            return _records(Records(obj[0], zip(*map(dict.values, obj))), pad, keys)
         if obj and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join([_render(v, pad, keys) for v in obj]) + "]"
         heads, values, brackets = [""] * len(obj), obj, "[]"
@@ -61,6 +108,8 @@ def _render(obj, pad: str, keys: dict[str, str]) -> str:
         return _quote(obj)
     elif kind is bool or obj is None:
         return _CONSTANTS[obj]
+    elif kind is Records:
+        return _records(obj, pad, keys) if len(obj) else "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
     if not values:
@@ -74,36 +123,44 @@ def _render(obj, pad: str, keys: dict[str, str]) -> str:
     return "".join(parts)
 
 
-def _quote_keys(obj: dict, keys: dict[str, str]) -> None:
-    for key in obj.keys() - keys.keys():
+def _quote_keys(names, keys: dict[str, str]) -> None:
+    for key in set(names) - keys.keys():
         keys[key] = _quote(key) + ": "  # _quote raises TypeError on a key that is no str
 
 
-def _records(rows, pad: str, keys: dict[str, str]) -> str:
-    """Text of two or more non-empty dicts with one key tuple: each record is one
-    `%` of a template that holds the quoted keys, filled from per-column texts."""
-    _quote_keys(rows[0], keys)
+def _records(records: Records, pad: str, keys: dict[str, str]) -> str:
+    """Text of one or more records with at least one key: each record is one
+    `%` of a template that holds the quoted keys, filled from per-column texts
+    made one block of rows at a time."""
+    _quote_keys(records.keys, keys)
     inner = pad + "  "
     field = inner + "  "
     template = "{" + ",".join(
-        field + keys[key].replace("%", "%%") + "%s" for key in rows[0]) + inner + "}"
+        field + keys[key].replace("%", "%%") + "%s" for key in records.keys) + inner + "}"
     sep = "," + inner
     parts = ["[", inner]
-    for start in range(0, len(rows), _BLOCK):
-        parts += (sep.join(_block(rows[start:start + _BLOCK], template, field, keys)), sep)
+    for start in range(0, len(records), _BLOCK):
+        block = [column[start:start + _BLOCK] for column in records.columns]
+        parts += (sep.join(_block(block, template, field, keys)), sep)
     parts[-1] = pad  # in place of the separator after the last block
     parts.append("]")
     return "".join(parts)
 
 
-def _block(rows, template: str, field: str, keys: dict[str, str]) -> list[str]:
-    """The record texts of rows; the column texts are freed on return, before the join."""
-    columns = [_column(values, field, keys) for values in zip(*map(dict.values, rows))]
-    return list(map(template.__mod__, zip(*columns)))
+def _block(columns, template: str, field: str, keys: dict[str, str]) -> list[str]:
+    """The record texts of one block of columns; the column texts are freed on
+    return, before the join."""
+    return list(map(template.__mod__, zip(*[_column(values, field, keys) for values in columns])))
 
 
-def _column(values: tuple, pad: str, keys: dict[str, str]):
-    """The texts of one field's values, chosen by the exact types found in them."""
+def _column(values, pad: str, keys: dict[str, str]):
+    """The texts of one field's values: a float64 array by its shape, any other
+    column by the exact types found in it."""
+    if isinstance(values, np.ndarray):
+        if not np.isfinite(values).all():
+            raise ValueError(_NON_FINITE)
+        return map(_cell_format(values.shape[1:], pad).__mod__,
+                   map(tuple, values.reshape(len(values), -1).tolist()))
     kinds = set(map(type, values))
     if kinds == {float}:
         return _checked(_17G, values)
@@ -113,16 +170,18 @@ def _column(values: tuple, pad: str, keys: dict[str, str]):
         return map(_quote, values)
     if kinds <= {bool, type(None)}:
         return map(_CONSTANTS.__getitem__, values)
+    if kinds == {int, type(None)}:
+        return ["null" if value is None else str(value) for value in values]
     if kinds == {list} and _one_length(values):
         cells = list(chain.from_iterable(values))
         inner = set(map(type, cells))
         if inner == {float}:
-            return _checked(_row_format(len(values[0])).__mod__, map(tuple, values))
+            return _checked(_cell_format((len(values[0]),), pad).__mod__, map(tuple, values))
         if (inner == {list} and _one_length(cells)
                 and set(map(type, chain.from_iterable(cells))) == {float}):
-            row = pad + "  " + _row_format(len(cells[0]))
-            block = "[" + ",".join([row] * len(values[0])) + pad + "]"
-            return _checked(block.__mod__, map(tuple, map(chain.from_iterable, values)))
+            shape = (len(values[0]), len(cells[0]))
+            return _checked(_cell_format(shape, pad).__mod__,
+                            map(tuple, map(chain.from_iterable, values)))
     return [_render(value, pad, keys) for value in values]
 
 
@@ -131,8 +190,15 @@ def _one_length(lists) -> bool:
     return len(set(map(len, lists))) == 1 and len(lists[0]) > 0
 
 
-def _row_format(n: int) -> str:
-    return "[" + ", ".join(["%.17g"] * n) + "]"
+def _cell_format(shape: tuple, pad: str) -> str:
+    """The `%` format of one cell of a float column, by the cell's shape: () a
+    float, (m,) a row of floats, (k, m) a block of such rows indented below pad."""
+    if not shape:
+        return "%.17g"
+    row = "[" + ", ".join(["%.17g"] * shape[-1]) + "]"
+    if len(shape) == 1:
+        return row
+    return "[" + ",".join([pad + "  " + row] * shape[0]) + pad + "]" if shape[0] else "[]"
 
 
 def _checked(format_, values) -> list[str]:

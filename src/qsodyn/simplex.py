@@ -12,6 +12,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .jsonio import dumps
+
 # Coordinates at or below this threshold count as zero for support purposes.
 # Iterates approach the boundary asymptotically, so exact-zero tests are useless.
 ZERO_TOL = 1e-12
@@ -83,7 +85,7 @@ class SimplexPoint:
 
     def to_json(self) -> str:
         """JSON array with 17 significant digits (round-trip exact for float64)."""
-        return "[" + ", ".join(format(c, ".17g") for c in self._coords) + "]"
+        return dumps(self._coords.tolist())
 
     @staticmethod
     def from_json(text: str) -> "SimplexPoint":

@@ -1,6 +1,7 @@
 """Tests for orbits, closed forms, exact limit sets, the numeric oracle,
 and the limit-prediction verifier."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -633,6 +634,18 @@ class TestRegime:
         with pytest.raises(ValueError):
             regime(a)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: scalar_map(1.5, 0.2), "argument 1.5 outside [0, 1]"),
+        (lambda: scalar_map(0.5, -0.1), "parameter -0.1 outside [0, 1]"),
+        (lambda: regime(float("nan")), "parameter nan outside [0, 1]"),
+        (lambda: edge_fixed_height(1.25), "parameter 1.25 outside [0, 1]"),
+        (lambda: slice_fixed_height(-1.0), "slice parameter -1.0 outside [0, 1]"),
+    ])
+    def test_unit_interval_messages(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
 
 class TestLimitTable:
     def test_every_analyzed_regime_has_an_entry(self):
@@ -983,6 +996,64 @@ class TestBatchedStartsMatchReference:
                 drawn = np.array([_draw_reference(branch, one) for _ in range(30)])
                 chunk = branch.candidates(many, 400)
                 assert drawn.tobytes() == chunk[branch.holds(chunk)][:30].tobytes()
+
+
+class TestCaseColumns:
+    # max_iter = 16 mixes passed and undecided orbits, as in TestBatchedStartsMatchReference.
+    @pytest.mark.parametrize("op_id,a", PREDICTED)
+    def test_rebuilt_from_verdicts(self, op_id, a):
+        (got,) = verify_predictions(op_id, (a,), seeds=40, base_seed=7, max_iter=16)
+        rebuilt = VerificationReport(got.op_id, got.a, got.seeds, got.base_seed, tuple(
+            CaseResult(c.label, c.tol, c.max_iter, c.verdicts) for c in got.cases))
+        assert rebuilt.to_json_dict() == got.to_json_dict()
+        assert dumps(rebuilt.to_json_dict()) == dumps(got.to_json_dict())
+        assert rebuilt == got and rebuilt.passed == got.passed
+
+    @pytest.mark.parametrize("op_id,a", PREDICTED)
+    def test_verdicts_read_the_columns(self, op_id, a):
+        (got,) = verify_predictions(op_id, (a,), seeds=40, base_seed=7, max_iter=16)
+        for case in got.cases:
+            verdicts = case.verdicts
+            assert np.array([v.x0 for v in verdicts]).tobytes() == case.x0.tobytes()
+            assert np.array([v.predicted for v in verdicts]).tobytes() == case.predicted.tobytes()
+            assert np.array([v.distance for v in verdicts]).tobytes() == case.distance.tobytes()
+            assert [v.steps is None for v in verdicts] == (case.steps < 0).tolist()
+            assert [v.steps for v in verdicts if v.steps is not None] == (
+                case.steps[case.steps >= 0].tolist())
+            assert [(v.index, v.prediction_kind, v.passed) for v in verdicts] == [
+                (i, case.kind, s >= 0) for i, s in enumerate(case.steps.tolist())]
+
+    def test_undecided_and_passed_both_occur(self):
+        (got,) = verify_predictions(13, (0.2,), seeds=25, base_seed=7, max_iter=16)
+        steps = np.concatenate([case.steps for case in got.cases])
+        assert (steps < 0).any() and (steps >= 0).any() and not got.passed
+
+    def test_columns_are_read_only(self):
+        (case,) = verify_predictions(28, (0.3,), seeds=3)[0].cases[:1]
+        for column in (case.x0, case.predicted, case.steps, case.distance):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    @pytest.mark.parametrize("change", [
+        {"index": 2}, {"prediction_kind": "cycle"}, {"passed": False}, {"steps": None}])
+    def test_rejects_inconsistent_verdicts(self, change):
+        first = PointVerdict(0, (1.0, 0.0, 0.0), ((1.0, 0.0, 0.0),), "point", 3, 0.0, True)
+        second = dataclasses.replace(first, index=1)
+        assert CaseResult("c", 1e-6, 10, (first, second)).passed
+        with pytest.raises(ValueError):
+            CaseResult("c", 1e-6, 10, (first, dataclasses.replace(second, **change)))
+
+    def test_cli_verify_builds_no_verdicts(self, capsys, monkeypatch):
+        argv = ["verify", "--op", "28", "--a", "0.3", "--seeds", "200", "--seed", "7"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verify command built a PointVerdict")
+
+        monkeypatch.setattr(dynamics, "PointVerdict", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def _distance_rows(point_set, rng):

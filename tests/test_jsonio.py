@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qsodyn.jsonio import dumps
+from qsodyn.jsonio import Records, dumps
 
 
 def _format_float_reference(x):
@@ -82,7 +82,19 @@ class TestMatchesReference:
         from qsodyn.dynamics import verify_predictions
         payload = {"reports": [r.to_json_dict() for r in
                                verify_predictions(28, (0.3,), seeds=30, max_iter=3)]}
-        assert dumps(payload) == _render_reference(payload)
+        assert dumps(payload) == _render_reference(_as_lists(payload))
+
+
+def _as_lists(obj):
+    """obj with every Records turned into the list of dicts it stands for; the
+    reference writer knows only lists and tuples."""
+    if isinstance(obj, Records):
+        return [_as_lists(row) for row in obj]
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_as_lists, obj))
+    return obj
 
 
 # Lists of dicts that share one key tuple take the column path. Each key draws one
@@ -160,6 +172,106 @@ class TestRecordLists:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * len(text)
+
+
+# Shapes of one cell of a float64 array column: a float, a row, a block of rows.
+_CELL_SHAPES = [(), (1,), (3,), (0,), (1, 3), (2, 3), (2, 1), (0, 3), (2, 0)]
+
+
+def _array_column(n):
+    return st.sampled_from(_CELL_SHAPES).flatmap(lambda shape: st.lists(
+        _finite, min_size=n * math.prod(shape), max_size=n * math.prod(shape)).map(
+            lambda cells: np.array(cells, dtype=np.float64).reshape((n,) + shape)))
+
+
+@st.composite
+def _records(draw):
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 6))
+    columns = [draw(_columns(n) | _array_column(n)) for _ in keys]
+    return Records(keys, columns), _dict_rows(keys, columns)
+
+
+def _dict_rows(keys, columns):
+    """The list of dicts that Records(keys, columns) stands for, built without it."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [dict(zip(keys, row)) for row in zip(*cells)]
+
+
+def _point_columns(n):
+    """Columns shaped like the `verify` points: ints, float rows and blocks, text,
+    ints mixed with None, floats, bools."""
+    i = np.arange(n)
+    x0 = np.stack((i / (3 * n), np.full(n, 0.5), 0.5 - i / (3 * n)), axis=1)
+    steps = [40 + k % 9 if k % 5 else None for k in range(n)]
+    return (list(range(n)), x0, np.stack((x0, x0[:, ::-1]), axis=1), ["cycle"] * n, steps,
+            i * 1e-12, [s is not None for s in steps])
+
+
+_POINT_KEYS = ("index", "x0", "predicted", "kind", "steps", "distance", "passed")
+
+
+class TestRecords:
+    @given(drawn=_records(), depth=st.integers(0, 2))
+    @example(drawn=(Records(["x"], [np.array([-0.0, 5e-324, 1.7976931348623157e308])]),
+                    [{"x": -0.0}, {"x": 5e-324}, {"x": 1.7976931348623157e308}]), depth=1)
+    @example(drawn=(Records(["a", "b"], [np.zeros((2, 0, 3)), np.zeros((2, 3, 0))]),
+                    [{"a": [], "b": [[], [], []]}] * 2), depth=0)
+    def test_equal_bytes(self, drawn, depth):
+        records, rows = drawn
+        obj, ref = records, rows
+        for _ in range(depth):
+            obj = {"level": obj, "records": [obj, records]}
+            ref = {"level": ref, "records": [ref, rows]}
+        assert dumps(obj) == _render_reference(ref)
+
+    def test_blocks_of_rows(self):
+        columns = _point_columns(700)
+        assert dumps(Records(_POINT_KEYS, columns)) == _render_reference(
+            _dict_rows(_POINT_KEYS, columns))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 1, 299])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_non_finite_anywhere_in_an_array_column(self, bad, row, shape):
+        column = np.full((300,) + shape, 0.5)
+        column[(row,) + (0,) * len(shape)] = bad
+        with pytest.raises(ValueError):
+            dumps(Records(["i", "v"], [list(range(300)), column]))
+
+    def test_peak_memory_is_bounded_by_the_text(self):
+        records = Records(_POINT_KEYS, _point_columns(20000))
+        tracemalloc.start()
+        try:
+            text = dumps({"points": records})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
+
+    def test_reads_as_the_list_of_dicts(self):
+        columns = _point_columns(5)
+        records, rows = Records(_POINT_KEYS, columns), _dict_rows(_POINT_KEYS, columns)
+        assert list(records) == rows and len(records) == 5
+        assert records == rows and rows == records and records == Records(_POINT_KEYS, columns)
+        assert [records[i] for i in (0, 4, -1)] == [rows[0], rows[4], rows[-1]]
+        assert records[1:3] == rows[1:3]
+        assert type(records[0]["x0"][0]) is float and type(records[0]["distance"]) is float
+        assert records != rows[:4] and records != tuple(rows) and records != rows[::-1]
+        assert Records((), ()) == [] and dumps(Records((), ())) == "[]"
+        with pytest.raises(IndexError):
+            records[5]
+
+    @pytest.mark.parametrize("keys,columns,error", [
+        (["a", "a"], [[1], [2]], ValueError),
+        (["a", "b"], [[1]], ValueError),
+        (["a", "b"], [[1, 2], [3]], ValueError),
+        (["a"], [np.array([1, 2])], TypeError),
+        (["a"], [np.zeros((2, 1, 1, 1))], TypeError),
+    ])
+    def test_rejects_malformed_columns(self, keys, columns, error):
+        with pytest.raises(error):
+            Records(keys, columns)
 
 
 class TestRejects:

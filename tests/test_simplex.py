@@ -167,6 +167,13 @@ class TestSerialization:
         parsed = json.loads(text)
         assert parsed[0] == 0.1
 
+    @given(weights=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300]),
+                            min_size=1, max_size=5).filter(lambda w: sum(w) > 0.0))
+    @example(weights=[-0.0, 1.0, 5e-324])
+    def test_bytes_of_the_17g_format(self, weights):
+        p = SimplexPoint(np.array(weights) / math.fsum(weights))
+        assert p.to_json() == "[" + ", ".join(format(c, ".17g") for c in p.coords) + "]"
+
 
 # Property tests ------------------------------------------------------------
 
