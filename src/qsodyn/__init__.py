@@ -8,17 +8,27 @@ the simplex primitives, a 36-member parametric operator catalog on the
 plus numeric analysis of the limit behavior of four selected operators.
 """
 
-from .simplex import (
-    SimplexPoint,
-    equivalent,
-    l1_distance,
-    sample,
-    singular,
-    support,
-    vertex,
-)
-from .permutations import Permutation
-from .operators import (
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """Register submodule `name` in sys.modules without running it; its first
+    attribute access runs it. The numpy layers load this way, so `catalog`,
+    `classify` and `tensor` never import numpy, while anything that snapshots
+    sys.modules after `import qsodyn.cli` still finds every qsodyn module."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+simplex = _lazy("simplex")
+dynamics = _lazy("dynamics")
+
+from .permutations import Permutation  # noqa: E402  (after the lazy modules, which these import)
+from .operators import (  # noqa: E402
     EllVolterraStructure,
     HeredityTensor,
     TensorValidation,
@@ -33,7 +43,8 @@ from .operators import (
     validate,
     volterra_coefficients,
 )
-from .catalog import (
+from .catalog import (  # noqa: E402
+    ANALYZED_OPS,
     CATALOG_PARTITION,
     OperatorSpec,
     PairPartition,
@@ -52,32 +63,15 @@ from .catalog import (
     partition_structure_check,
     polynomial_text,
 )
-from .dynamics import (
-    ANALYZED_OPS,
-    CYCLE_PARAM_SUP,
-    CurveFamily,
-    LimitPrediction,
-    PointSet,
-    RegionTag,
-    TrajectoryReport,
-    VerificationReport,
-    edge_fixed_height,
-    fixed_points_exact,
-    fixed_points_numeric,
-    iterate,
-    limit_prediction,
-    omega_limit,
-    omega_limits,
-    periodic2_exact,
-    region_classify,
-    regime,
-    scalar_map,
-    scalar_map_report,
-    slice_cycle_heights,
-    slice_fixed_height,
-    trajectory_csv,
-    verify_predictions,
-)
+
+
+def __getattr__(name: str):
+    """A public name of `simplex` or `dynamics`, read from its module, which runs then (PEP 562)."""
+    for module in (simplex, dynamics) if name in __all__ else ():
+        if hasattr(module, name):
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

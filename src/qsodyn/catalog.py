@@ -10,15 +10,18 @@ catalog onto itself and induces the pairing of entries into conjugacy classes.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .operators import HeredityTensor
 from .permutations import Permutation
-from .simplex import ZERO_TOL
+from .rules import ZERO_TOL
+
+#: Catalog ids whose limit behavior has closed-form predictions (in `dynamics`).
+ANALYZED_OPS = (4, 13, 25, 28)
 
 # ---------------------------------------------------------------------------
 # Case tables
@@ -153,8 +156,8 @@ CATALOG_PARTITION = pair_partitions()[1]
 # Structure check against a partition
 # ---------------------------------------------------------------------------
 
-def _row_support(row: np.ndarray, tol: float) -> frozenset[int]:
-    return frozenset(int(i) + 1 for i in np.nonzero(row > tol)[0])
+def _row_support(row: Sequence[float], tol: float) -> frozenset[int]:
+    return frozenset(k for k, v in enumerate(row, start=1) if v > tol)
 
 
 @dataclass(frozen=True)
@@ -182,47 +185,29 @@ def partition_structure_check(
     """
     if partition.m != T.m:
         raise ValueError("partition size mismatch")
-    violations: list[StructureViolation] = []
-    supports = [
-        [( pair, _row_support(T.row(*pair), tol)) for pair in sorted(block)]
-        for block in partition.blocks
-    ]
-    for block_idx, entries in enumerate(supports):
-        for (p1, s1), (p2, s2) in zip(entries, entries[1:]):
-            if s1 != s2:
-                violations.append(StructureViolation(
-                    "within_block",
-                    f"block {block_idx + 1}: rows {p1} and {p2} have supports "
-                    f"{sorted(s1)} vs {sorted(s2)}"))
-    for bi in range(len(supports)):
-        for bj in range(bi + 1, len(supports)):
-            for p1, s1 in supports[bi]:
-                for p2, s2 in supports[bj]:
-                    if s1 & s2:
-                        violations.append(StructureViolation(
-                            "across_blocks",
-                            f"rows {p1} (block {bi + 1}) and {p2} (block {bj + 1}) "
-                            f"share support indices {sorted(s1 & s2)}"))
-    image: list[int] = []
-    diag_ok = True
-    for i in range(1, T.m + 1):
-        s = _row_support(T.row(i, i), tol)
-        if len(s) != 1:
-            violations.append(StructureViolation(
-                "diagonal_not_vertex",
-                f"diagonal row ({i},{i}) has support {sorted(s)}, not a single vertex"))
-            diag_ok = False
-        else:
-            image.append(next(iter(s)))
+    blocks = [[(pair, _row_support(T.row(*pair), tol)) for pair in sorted(block)]
+              for block in partition.blocks]
+    found = [("within_block", f"block {b}: rows {p1} and {p2} have supports "
+                              f"{sorted(s1)} vs {sorted(s2)}")
+             for b, rows in enumerate(blocks, start=1)
+             for (p1, s1), (p2, s2) in zip(rows, rows[1:]) if s1 != s2]
+    found += [("across_blocks", f"rows {p1} (block {b1}) and {p2} (block {b2}) "
+                                f"share support indices {sorted(s1 & s2)}")
+              for (b1, rows1), (b2, rows2) in itertools.combinations(enumerate(blocks, start=1), 2)
+              for p1, s1 in rows1 for p2, s2 in rows2 if s1 & s2]
+    diagonal = [_row_support(T.row(i, i), tol) for i in range(1, T.m + 1)]
+    found += [("diagonal_not_vertex", f"diagonal row ({i},{i}) has support {sorted(s)}, "
+                                      "not a single vertex")
+              for i, s in enumerate(diagonal, start=1) if len(s) != 1]
+    image = [min(s) for s in diagonal if len(s) == 1]
     perm: Optional[Permutation] = None
-    if diag_ok:
-        if len(set(image)) != T.m:
-            violations.append(StructureViolation(
-                "diagonal_duplicate",
-                f"diagonal rows map onto vertices {image}, not all distinct"))
-        else:
+    if len(image) == T.m:
+        if len(set(image)) == T.m:
             perm = Permutation(tuple(image))
-    return StructureReport(not violations, tuple(violations), perm)
+        else:
+            found.append(("diagonal_duplicate",
+                          f"diagonal rows map onto vertices {image}, not all distinct"))
+    return StructureReport(not found, tuple(StructureViolation(*v) for v in found), perm)
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +223,29 @@ def conjugate(T: HeredityTensor, p: Permutation) -> HeredityTensor:
     """
     if p.m != T.m:
         raise ValueError("permutation size mismatch")
-    idx = np.array(p.image) - 1
-    return HeredityTensor(T.table[np.ix_(idx, idx, idx)])
+    return HeredityTensor._of(T.m, tuple(map(T.coeffs.__getitem__, _relabeling(p))))
+
+
+def _relabeling(p: Permutation) -> list[int]:
+    """Where Q[i,j,k] = P[p(i),p(j),p(k)] reads P, in Q's row-major order."""
+    m, idx = p.m, [i - 1 for i in p.image]
+    return [(i * m + j) * m + k for i in idx for j in idx for k in idx]
 
 
 def coefficient_distance(T1: HeredityTensor, T2: HeredityTensor) -> float:
-    """Max-norm distance between two coefficient arrays."""
+    """Max-norm distance between two coefficient arrays; NaN if any entry gives NaN."""
     if T1.m != T2.m:
         raise ValueError("dimension mismatch")
-    return float(np.max(np.abs(T1.table - T2.table)))
+    d = [abs(x - y) for x, y in zip(T1.coeffs, T2.coeffs)]
+    return math.nan if any(map(math.isnan, d)) else max(d)
 
 
-def _conjugates(tables: np.ndarray) -> np.ndarray:
-    """Every relabeling Q[i,j,k] = P[p(i),p(j),p(k)] of a stack (..., m, m, m).
-
-    The relabelings lie along a new axis -4, in Permutation.all_perms(m) order.
-    """
-    m = tables.shape[-1]
-    idx = np.array([p.image for p in Permutation.all_perms(m)]) - 1
-    return tables[..., idx[:, :, None, None], idx[:, None, :, None], idx[:, None, None, :]]
+def _within(P: Sequence[float], Q: Sequence[float], tol: float) -> bool:
+    """True when every |P[n] - Q[n]| <= tol (a NaN difference fails): max-norm distance <= tol."""
+    for x, y in zip(P, Q):
+        if not abs(x - y) <= tol:
+            return False
+    return True
 
 
 # The classifier's match tolerance. Coefficients are 0, 1, a or 1 - a, so a link that holds
@@ -265,7 +254,7 @@ MATCH_TOL, DEGENERATE_PARAMS = 1e-12, (0.0, 0.5, 1.0)
 
 
 def _check_match_tol(tol: float) -> None:
-    if not 0.0 <= tol < np.inf:  # a max-norm distance; 0 asks for exact matches
+    if not 0.0 <= tol < math.inf:  # a max-norm distance; 0 asks for exact matches
         raise ValueError("tol must be finite and >= 0")
 
 
@@ -274,9 +263,9 @@ def are_conjugate(T1: HeredityTensor, T2: HeredityTensor, tol: float = MATCH_TOL
     _check_match_tol(tol)
     if T1.m != T2.m:
         raise ValueError("dimension mismatch")
-    dist = np.abs(_conjugates(T1.table) - T2.table).max(axis=(-3, -2, -1))
-    hits = np.flatnonzero(dist <= tol)
-    return Permutation.all_perms(T1.m)[hits[0]] if hits.size else None
+    P = T1.coeffs
+    return next((p for p in Permutation.all_perms(T1.m)
+                 if _within(map(P.__getitem__, _relabeling(p)), T2.coeffs, tol)), None)
 
 
 #: Conjugacy classes of the catalog families. Pairs are related by the
@@ -306,15 +295,18 @@ def classify_catalog(a: float, tol: float = MATCH_TOL, merge_mirror: bool = True
     """
     _check_match_tol(tol)
     params = (a, 1.0 - a) if merge_mirror else (a,)
-    stacks = np.array([[operator_tensor(n, b).table for n in range(1, 37)] for b in params])
-    # dist[s, n, p, k]: max-norm distance from entry n relabeled by p to entry k of stack s
-    diff = _conjugates(stacks[0])[None, :, :, None] - stacks[:, None, None]
-    dist = np.abs(diff, out=diff).max(axis=(-3, -2, -1))
-    linked = (dist <= tol).any(axis=(0, 2)) | np.eye(36, dtype=bool)
-    linked |= linked.T
-    for _ in range(6):  # transitive closure: paths up to length 2**6 >= 36
-        linked = linked @ linked
-    return sorted({tuple(int(k) + 1 for k in np.flatnonzero(row)) for row in linked})
+    targets = [operator_tensor(k, b).coeffs for b in params for k in range(1, 37)]
+    relabelings = [_relabeling(p) for p in Permutation.all_perms(3)]
+    group = [{n} for n in range(1, 37)]  # group[n - 1]: the class of n found so far
+    for n, P in enumerate(targets[:36]):
+        for index in relabelings:
+            Q = list(map(P.__getitem__, index))
+            for k, R in enumerate(targets):
+                if _within(Q, R, tol):
+                    merged = group[n] | group[k % 36]
+                    for e in merged:
+                        group[e - 1] = merged
+    return sorted({tuple(sorted(g)) for g in group})
 
 
 def classes_fixed_parameter(a: float, tol: float = MATCH_TOL) -> list[tuple[int, ...]]:
@@ -351,22 +343,15 @@ def partition_stabilizer(partition: PairPartition) -> list[Permutation]:
 
 def polynomial_text(T: HeredityTensor) -> list[str]:
     """Expanded quadratic forms of each image coordinate, e.g. 'x1' = x1^2 + 0.6 x1 x2'."""
-    m = T.m
-    P = T.table
+    m, P = T.m, T.coeffs
+    # the squares, then the cross terms i < j, each as (i, j, factor on P[i, j, k], monomial)
+    terms = [(i, i, 1.0, f"x{i + 1}^2") for i in range(m)] + [
+        (i, j, 2.0, f"x{i + 1} x{j + 1}") for i in range(m) for j in range(i + 1, m)]
     lines = []
     for k in range(m):
-        terms = []
-        for i in range(m):
-            c = P[i, i, k]
-            if c != 0.0:
-                terms.append(f"{_coef(c)}x{i + 1}^2")
-        for i in range(m):
-            for j in range(i + 1, m):
-                c = 2.0 * P[i, j, k]
-                if c != 0.0:
-                    terms.append(f"{_coef(c)}x{i + 1} x{j + 1}")
-        rhs = " + ".join(terms) if terms else "0"
-        lines.append(f"x{k + 1}' = {rhs}")
+        coefs = ((factor * P[(i * m + j) * m + k], text) for i, j, factor, text in terms)
+        rhs = " + ".join(f"{_coef(c)}{text}" for c, text in coefs if c != 0.0)
+        lines.append(f"x{k + 1}' = {rhs or '0'}")
     return lines
 
 

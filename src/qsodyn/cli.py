@@ -15,8 +15,11 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import jsonio
+# simplex and dynamics are lazy modules (see qsodyn/__init__.py): each runs, and
+# imports numpy, at the first attribute read, which only simulate and verify make.
+from . import dynamics, jsonio, simplex
 from .catalog import (
+    ANALYZED_OPS,
     CATALOG_PARTITION,
     DEGENERATE_PARAMS,
     MATCH_TOL,
@@ -28,19 +31,7 @@ from .catalog import (
     partition_structure_check,
     polynomial_text,
 )
-from .dynamics import (
-    ANALYZED_OPS,
-    BALANCED_MAX_ITER,
-    BALANCED_TOL,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    omega_limits,
-    regime,
-    trajectory_csv,
-    verify_predictions,
-)
 from .operators import HeredityTensor, structure_label, validate
-from .simplex import SimplexPoint, sample
 
 
 class UsageError(Exception):
@@ -87,9 +78,9 @@ def _a_list(text: str) -> tuple[float, ...]:
     return tuple(map(_A, _float_list("--a", text)))
 
 
-def _parse_x0(text: str) -> SimplexPoint:
+def _parse_x0(text: str) -> simplex.SimplexPoint:
     try:
-        return SimplexPoint(_float_list("--x0", text))
+        return simplex.SimplexPoint(_float_list("--x0", text))
     except ValueError as exc:
         raise UsageError(f"--x0 is not a simplex point: {exc}") from None
 
@@ -243,18 +234,19 @@ def _cmd_simulate(args) -> int:
     else:
         if T.m < 2:
             raise UsageError("--seed needs a tensor with m >= 2")
-        points = sample(T.m, args.seed, args.count or 1)
-    balanced = "a" in source and regime(source["a"]) == "balanced"
-    tol = args.tol if args.tol is not None else (BALANCED_TOL if balanced else DEFAULT_TOL)
+        points = simplex.sample(T.m, args.seed, args.count or 1)
+    balanced = "a" in source and dynamics.regime(source["a"]) == "balanced"
+    tol = args.tol if args.tol is not None else (
+        dynamics.BALANCED_TOL if balanced else dynamics.DEFAULT_TOL)
     max_iter = args.max_iter if args.max_iter is not None else (
-        BALANCED_MAX_ITER if balanced else DEFAULT_MAX_ITER)
+        dynamics.BALANCED_MAX_ITER if balanced else dynamics.DEFAULT_MAX_ITER)
     if args.format == "csv":
         if len(points) != 1:
             raise UsageError("CSV export needs exactly one trajectory")
         if args.out is None:
             raise UsageError("CSV export needs --out to name the files")
 
-    reports = omega_limits(T, [p.coords for p in points], tol=tol, max_iter=max_iter)
+    reports = dynamics.omega_limits(T, [p.coords for p in points], tol=tol, max_iter=max_iter)
     payload = {
         "source": source,
         "tol": tol,
@@ -263,7 +255,7 @@ def _cmd_simulate(args) -> int:
     }
     _emit_json(payload, args.out)
     if args.format == "csv":
-        _write(args.out.with_suffix(".csv"), trajectory_csv(reports[0]))
+        _write(args.out.with_suffix(".csv"), dynamics.trajectory_csv(reports[0]))
     return 0 if all(r.outcome.kind != "undecided" for r in reports) else 2
 
 
@@ -273,7 +265,7 @@ _VERIFY_DEFAULT_A = {13: (0.2, 0.5, 0.8), 4: (0.5, 0.8), 28: (0.3, 0.5), 25: (0.
 def _cmd_verify(args) -> int:
     a_values = _VERIFY_DEFAULT_A[args.op] if args.a is None else args.a
     try:
-        reports = verify_predictions(
+        reports = dynamics.verify_predictions(
             args.op, a_values, seeds=args.seeds, tol=args.tol,
             max_iter=args.max_iter, base_seed=args.seed)
     except ValueError as exc:

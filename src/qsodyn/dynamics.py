@@ -24,12 +24,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .operators import HeredityTensor, apply, apply_array
-from .catalog import operator_tensor
+from .catalog import ANALYZED_OPS, operator_tensor
 from .jsonio import Records
-from .simplex import SimplexPoint, ZERO_TOL, require_count, sample_with_rng, simplex_rows, vertex
-
-#: Catalog ids whose limit behavior has closed-form predictions here.
-ANALYZED_OPS = (4, 13, 25, 28)
+from .rules import ZERO_TOL, require_count
+from .simplex import SimplexPoint, sample_with_rng, simplex_rows, vertex
 
 #: Supremum of the slice parameter carrying genuine 2-cycles for operator 4
 #: at a = 1/2: the discriminant 4c^2 - 8c + 1 vanishes at (2 - sqrt(3)) / 2.

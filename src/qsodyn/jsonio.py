@@ -9,11 +9,10 @@ column, with the same bytes as the generic path.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes for a str
-
-import numpy as np
 
 _17G = "%.17g".__mod__
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -41,8 +40,7 @@ class Records(Sequence):
         if len(set(map(len, self.columns))) > 1:
             raise ValueError("Records columns must share one length")
         for column in self.columns:
-            if isinstance(column, np.ndarray) and not (
-                    column.dtype == np.float64 and 1 <= column.ndim <= 3):
+            if _is_array(column) and not (column.dtype == "float64" and 1 <= column.ndim <= 3):
                 raise TypeError(f"cannot serialize a {column.dtype} array of ndim {column.ndim}")
 
     def __len__(self) -> int:
@@ -51,11 +49,11 @@ class Records(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Records(self.keys, [column[i] for column in self.columns])
-        return dict(zip(self.keys, [column[i].tolist() if isinstance(column, np.ndarray)
+        return dict(zip(self.keys, [column[i].tolist() if _is_array(column)
                                     else column[i] for column in self.columns]))
 
     def __iter__(self):
-        keys, cells = self.keys, [column.tolist() if isinstance(column, np.ndarray) else column
+        keys, cells = self.keys, [column.tolist() if _is_array(column) else column
                                   for column in self.columns]
         return (dict(zip(keys, row)) for row in zip(*cells))
 
@@ -63,6 +61,12 @@ class Records(Sequence):
         if not isinstance(other, (Records, list)):
             return NotImplemented
         return list(self) == list(other)
+
+
+def _is_array(value) -> bool:
+    """True for a numpy ndarray. numpy is not imported here: no ndarray exists before it is."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
 
 
 def dumps(obj) -> str:
@@ -156,8 +160,8 @@ def _block(columns, template: str, field: str, keys: dict[str, str]) -> list[str
 def _column(values, pad: str, keys: dict[str, str]):
     """The texts of one field's values: a float64 array by its shape, any other
     column by the exact types found in it."""
-    if isinstance(values, np.ndarray):
-        if not np.isfinite(values).all():
+    if _is_array(values):
+        if not sys.modules["numpy"].isfinite(values).all():
             raise ValueError(_NON_FINITE)
         return map(_cell_format(values.shape[1:], pad).__mod__,
                    map(tuple, values.reshape(len(values), -1).tolist()))

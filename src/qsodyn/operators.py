@@ -13,53 +13,87 @@ output-relabeled versions of both.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import reduce
+from operator import add, eq
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-import numpy as np
-
+from . import simplex
 from .permutations import Permutation
-from .simplex import SimplexPoint, ZERO_TOL, require_count
+from .rules import ZERO_TOL, require_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class HeredityTensor:
     """Cubic coefficient array of a quadratic stochastic operator.
 
-    The constructor only fixes shape and dtype; use :func:`validate` to audit
-    the probabilistic constraints (it reports violations instead of raising,
-    so defective tensors can be inspected).
+    The m**3 coefficients are kept as a tuple of floats in row-major (i, j, k)
+    order, so structure checks and classification run without numpy; the
+    ndarray `table` is built on first use. The constructor only fixes shape
+    and dtype; use :func:`validate` to audit the probabilistic constraints (it
+    reports violations instead of raising, so defective tensors can be
+    inspected).
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_m", "_coeffs", "_table")
 
     def __init__(self, table):
-        arr = np.array(table, dtype=np.float64)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1 or arr.size == 0:
-            raise ValueError(f"expected an (m, m, m) array with m >= 1, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self._table = arr
+        cube = table.tolist() if hasattr(table, "tolist") else table  # an ndarray gives its floats
+        try:
+            m = len(cube)
+            coeffs = tuple(float(v) for plane in cube if len(plane) == m
+                           for row in plane if len(row) == m for v in row)
+        except TypeError:  # a scalar where a sequence belongs
+            m, coeffs = 0, ()
+        if m < 1 or len(coeffs) != m ** 3:  # a plane or row of another length was skipped
+            shape = getattr(table, "shape", type(table).__name__)
+            raise ValueError(f"expected an (m, m, m) array with m >= 1, got {shape}")
+        self._m, self._coeffs, self._table = m, coeffs, None
+
+    @classmethod
+    def _of(cls, m: int, coeffs: tuple[float, ...]) -> "HeredityTensor":
+        """The tensor of m**3 row-major floats, taken as they are."""
+        T = cls.__new__(cls)
+        T._m, T._coeffs, T._table = m, coeffs, None
+        return T
 
     @property
     def m(self) -> int:
-        return self._table.shape[0]
+        return self._m
+
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        """The coefficients P[i-1, j-1, k-1] as floats, in row-major (i, j, k) order."""
+        return self._coeffs
 
     @property
     def table(self) -> np.ndarray:
-        """Read-only (m, m, m) coefficient array, P[i-1, j-1, k-1]."""
+        """Read-only (m, m, m) coefficient array, P[i-1, j-1, k-1]; built once, on first use."""
+        if self._table is None:
+            import numpy as np  # only the array kernels need it
+
+            arr = np.array(self._coeffs, dtype=np.float64).reshape((self._m,) * 3)
+            arr.flags.writeable = False
+            self._table = arr
         return self._table
 
-    def row(self, i: int, j: int) -> np.ndarray:
+    def row(self, i: int, j: int) -> tuple[float, ...]:
         """The distribution row (P_{ij,1}, ..., P_{ij,m}) for 1-based (i, j)."""
-        return self._table[i - 1, j - 1, :]
+        start = ((i - 1) * self._m + j - 1) * self._m
+        return self._coeffs[start:start + self._m]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeredityTensor):
             return NotImplemented
-        return self.m == other.m and bool(np.all(self._table == other._table))
+        return self._m == other._m and all(map(eq, self._coeffs, other._coeffs))
 
     def __hash__(self) -> int:
-        return hash(self._table.tobytes())
+        return hash(self._coeffs)  # hash(-0.0) == hash(0.0), as equality needs
 
     def __repr__(self) -> str:
         return f"HeredityTensor(m={self.m})"
@@ -72,23 +106,26 @@ class HeredityTensor:
         constraint holds exactly by construction.
         """
         require_count("m", m, 1)
-        arr = np.zeros((m, m, m))
+        coeffs = [0.0] * m ** 3
         expected = {(i, j) for i in range(1, m + 1) for j in range(i, m + 1)}
         if set(rows) != expected:
             raise ValueError(f"need exactly the rows {sorted(expected)}, got {list(rows)}")
         for i, j in sorted(expected):  # integer indices, whatever equal keys rows uses
-            vec = np.asarray(rows[i, j], dtype=np.float64)
-            if vec.shape != (m,):
+            try:
+                vec = [float(v) for v in rows[i, j]]
+            except TypeError:  # a scalar row
+                vec = []
+            if len(vec) != m:
                 raise ValueError(f"row {(i, j)} has wrong length")
-            arr[i - 1, j - 1, :] = vec
-            arr[j - 1, i - 1, :] = vec
-        return cls(arr)
+            for start in (((i - 1) * m + j - 1) * m, ((j - 1) * m + i - 1) * m):
+                coeffs[start:start + m] = vec
+        return cls._of(m, tuple(coeffs))
 
     def to_json(self) -> str:
         """Serialize as {"m": m, "P": flat row-major (i, j, k) array}, with
         non-finite entries as NaN, Infinity and -Infinity, as `from_json` reads them."""
-        flat = ", ".join(format(v, ".17g") if np.isfinite(v) else json.dumps(float(v))
-                         for v in self._table.ravel())
+        flat = ", ".join(format(v, ".17g") if math.isfinite(v) else json.dumps(v)
+                         for v in self._coeffs)
         return f'{{"m": {self.m}, "P": [{flat}]}}'
 
     @staticmethod
@@ -99,10 +136,9 @@ class HeredityTensor:
             raise ValueError(f"m must be a JSON integer, got {m!r}")
         if not isinstance(coeffs, list) or not all(type(v) in (int, float) for v in coeffs):
             raise ValueError("P must be a flat list of JSON numbers")
-        flat = np.asarray(coeffs, dtype=np.float64)
-        if flat.shape != (m ** 3,):
-            raise ValueError(f"expected {m ** 3} coefficients, got {flat.size}")
-        return HeredityTensor(flat.reshape((m, m, m)))
+        if m < 1 or len(coeffs) != m ** 3:
+            raise ValueError(f"expected {m ** 3} coefficients with m >= 1, got {len(coeffs)}")
+        return HeredityTensor._of(m, tuple(map(float, coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +160,11 @@ def apply_array(T: HeredityTensor, x: np.ndarray, renormalize: bool = True) -> n
     return out / out.sum(axis=-1, keepdims=True) if renormalize else out
 
 
-def apply(T: HeredityTensor, x: SimplexPoint) -> SimplexPoint:
+def apply(T: HeredityTensor, x: simplex.SimplexPoint) -> simplex.SimplexPoint:
     """Image of x under the quadratic operator defined by T."""
     if x.m != T.m:
         raise ValueError(f"dimension mismatch: tensor m={T.m}, point m={x.m}")
-    return SimplexPoint(apply_array(T, x.coords, renormalize=False))
+    return simplex.SimplexPoint(apply_array(T, x.coords, renormalize=False))
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +208,32 @@ def validate(T: HeredityTensor, tol: float = ZERO_TOL) -> TensorValidation:
     Returns a report listing every violated constraint with indices and
     magnitudes; an empty report means the tensor is a valid heredity array.
     """
-    P = T.table
-    asym = np.abs(P - P.transpose(1, 0, 2))  # |P[i,j,k] - P[j,i,k]|
-    upper = np.triu(np.ones(P.shape[:2], dtype=bool), 1)[:, :, None]  # pairs i < j
-    sums = P.sum(axis=2)
-    checks = (
-        ("non_finite", ~np.isfinite(P), P),
-        ("negative", P < -tol, P),
-        ("asymmetric", (asym > tol) & upper, asym),
-        ("row_sum", np.abs(sums - 1.0) > tol, sums),
-    )
-    return TensorValidation(tuple(
-        Violation(kind, tuple(int(v) + 1 for v in idx), float(values[tuple(idx)]))
-        for kind, mask, values in checks for idx in np.argwhere(mask)))
+    m, P = T.m, T.coeffs
+    cells = list(itertools.product(range(1, m + 1), repeat=3))  # (i, j, k) in P's order
+    asym = [abs(v - P[((j - 1) * m + i - 1) * m + k - 1]) for v, (i, j, k) in zip(P, cells)]
+    sums = [_row_sum(P[n:n + m]) for n in range(0, len(P), m)]
+    found = [Violation("non_finite", c, v) for c, v in zip(cells, P) if not math.isfinite(v)]
+    found += [Violation("negative", c, v) for c, v in zip(cells, P) if v < -tol]
+    found += [Violation("asymmetric", c, d) for c, d in zip(cells, asym) if c[0] < c[1] and d > tol]
+    found += [Violation("row_sum", c[:2], s) for c, s in zip(cells[::m], sums)
+              if abs(s - 1.0) > tol]
+    return TensorValidation(tuple(found))
+
+
+def _row_sum(row: Sequence[float]) -> float:
+    """The float sum numpy's add.reduce gives for a row, bit for bit: from 0.0 and
+    left to right below 8 terms; else eight strided partial sums, combined in
+    pairs, then the terms left over, in halves of a multiple of 8 above 128 terms."""
+    n = len(row)
+    if n < 8:
+        return reduce(add, row, 0.0)
+    if n > 128:  # each half starts from 0.0, which only makes a -0.0 total +0.0, as numpy's
+        half = n // 2 - n // 2 % 8
+        return _row_sum(row[:half]) + _row_sum(row[half:])
+    end = n - n % 8
+    r = [reduce(add, row[j:end:8]) for j in range(8)]
+    paired = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + reduce(add, row[end:], paired)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +271,8 @@ def volterra_coefficients(T: HeredityTensor) -> VolterraCoefficients:
     """Interaction matrix of a Volterra tensor; raises on non-Volterra input."""
     if not is_volterra(T):
         raise ValueError("tensor does not satisfy the Volterra condition")
+    import numpy as np  # the matrix is an ndarray
+
     a = 2.0 * np.diagonal(T.table, axis1=1, axis2=2).T - 1.0  # 2 P[i, k, k] - 1 at [k, i]
     np.fill_diagonal(a, 0.0)
     a.flags.writeable = False
@@ -246,22 +297,21 @@ class EllVolterraStructure:
     ell: int
 
 
-def _first_witnesses(T: HeredityTensor, tol: float) -> np.ndarray:
-    """first[k, c]: flat index i * m + j of the lexicographically first pair
+def _first_witnesses(T: HeredityTensor, tol: float) -> list[list[int]]:
+    """first[k][c]: flat index i * m + j of the lexicographically first pair
     i <= j, both different from k, with P[i, j, c] > tol; -1 when there is
     none, that is when column c read as coordinate k is Volterra."""
-    m = T.m
-    r = np.arange(m)
-    k, i, j = r[:, None, None], r[None, :, None], r[None, None, :]
-    pairs = (i <= j) & (i != k) & (j != k)  # (k, i, j)
-    feeds = (pairs[:, None] & (T.table.transpose(2, 0, 1) > tol)).reshape(m, m, m * m)
-    return np.where(feeds.any(axis=2), feeds.argmax(axis=2), -1)
+    m, P = T.m, T.coeffs
+    feeding = [[(i, j) for i in range(m) for j in range(i, m) if P[(i * m + j) * m + c] > tol]
+               for c in range(m)]
+    return [[next((i * m + j for i, j in feeding[c] if k not in (i, j)), -1) for c in range(m)]
+            for k in range(m)]
 
 
-def _structure(first: np.ndarray, cols: np.ndarray) -> EllVolterraStructure:
+def _structure(first: list[list[int]], cols: Sequence[int]) -> EllVolterraStructure:
     """The structure of the tensor whose coordinate k is column cols[k] of the scanned one."""
     m = len(cols)
-    pick = first[np.arange(m), cols].tolist()
+    pick = [first[k][c] for k, c in enumerate(cols)]
     vol = frozenset(k + 1 for k in range(m) if pick[k] < 0)
     wit = {k + 1: (f // m + 1, f % m + 1) for k, f in enumerate(pick) if f >= 0}
     return EllVolterraStructure(vol, wit, len(vol))
@@ -274,7 +324,7 @@ def ell_volterra_structure(T: HeredityTensor, tol: float = ZERO_TOL) -> EllVolte
     coordinate either has all outside cross coefficients at zero, or it has a
     strictly positive witness pair.
     """
-    return _structure(_first_witnesses(T, tol), np.arange(T.m))
+    return _structure(_first_witnesses(T, tol), range(T.m))
 
 
 def relabel_outputs(T: HeredityTensor, tau: Permutation) -> HeredityTensor:
@@ -286,8 +336,8 @@ def relabel_outputs(T: HeredityTensor, tau: Permutation) -> HeredityTensor:
     """
     if tau.m != T.m:
         raise ValueError("permutation size mismatch")
-    idx = np.array(tau.image) - 1
-    return HeredityTensor(T.table[:, :, idx])
+    m, P = T.m, T.coeffs
+    return HeredityTensor._of(m, tuple(P[n + k - 1] for n in range(0, len(P), m) for k in tau.image))
 
 
 def permuted_ell_volterra(
@@ -301,13 +351,13 @@ def permuted_ell_volterra(
     yields even one Volterra coordinate.
     """
     first = _first_witnesses(T, tol)
-    perms = Permutation.all_perms(T.m)
-    cols = np.array([tau.image for tau in perms]) - 1  # (m!, m)
-    ells = np.count_nonzero(first[np.arange(T.m), cols] < 0, axis=1)
-    best = int(np.argmax(ells))  # the first maximum: all_perms is in lexicographic order
-    if ells[best] == 0:
+    # max keeps the first maximum, and permutations come in lexicographic order
+    cols = max(itertools.permutations(range(T.m)),
+               key=lambda cols: sum(first[k][c] < 0 for k, c in enumerate(cols)))
+    structure = _structure(first, cols)
+    if structure.ell == 0:
         return None
-    return perms[best], _structure(first, cols[best])
+    return Permutation(tuple(c + 1 for c in cols)), structure
 
 
 def structure_label(T: HeredityTensor, tol: float = ZERO_TOL) -> dict:

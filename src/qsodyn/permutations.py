@@ -6,8 +6,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -43,8 +41,10 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(tuple(self(other(i)) for i in range(1, self.m + 1)))
 
-    def permute_vector(self, v: Sequence[float]) -> np.ndarray:
-        """Coordinate relabeling (v[p(1)], ..., v[p(m)]) with 1-based p."""
+    def permute_vector(self, v: Sequence[float]):
+        """Coordinate relabeling (v[p(1)], ..., v[p(m)]) with 1-based p, as an ndarray."""
+        import numpy as np  # the one array method here; the rest runs without numpy
+
         arr = np.asarray(v)
         if arr.shape[-1] != self.m:
             raise ValueError("size mismatch")

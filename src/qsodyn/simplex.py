@@ -13,10 +13,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .jsonio import dumps
+from .rules import ZERO_TOL, require_count
 
-# Coordinates at or below this threshold count as zero for support purposes.
-# Iterates approach the boundary asymptotically, so exact-zero tests are useless.
-ZERO_TOL = 1e-12
 # Negative coordinates no lower than -NEG_TOL are clamped to 0 on construction.
 NEG_TOL = 1e-12
 # Largest tolerated |sum - 1| before construction fails instead of rescaling.
@@ -104,12 +102,6 @@ def simplex_rows(X: np.ndarray) -> np.ndarray:
     if not (X.min() >= -NEG_TOL and np.abs(s - 1.0).max() <= SUM_TOL):  # NaN fails too
         raise ValueError("rows must be simplex points up to roundoff")
     return Y / s[..., None]
-
-
-def require_count(name: str, value, low: int) -> None:
-    """The one rule for integer counts: an Integral value >= low (NaN, inf, 2.5, "3" fail)."""
-    if not (isinstance(value, Integral) and value >= low):
-        raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
 
 
 def vertex(i: int, m: int) -> SimplexPoint:

@@ -264,6 +264,13 @@ class TestSimulate:
 
 
 class TestVerify:
+    def test_default_parameters_cover_exactly_the_analyzed_ops(self):
+        from qsodyn import dynamics
+        from qsodyn.catalog import ANALYZED_OPS
+        from qsodyn.cli import _VERIFY_DEFAULT_A
+        assert set(_VERIFY_DEFAULT_A) == set(ANALYZED_OPS)
+        assert dynamics.ANALYZED_OPS is ANALYZED_OPS
+
     def test_pass_run(self, capsys):
         code, out, _ = _run(capsys, "verify", "--op", "28", "--a", "0.3",
                             "--seeds", "10")

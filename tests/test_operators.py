@@ -48,6 +48,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HeredityTensor(np.zeros((3, 3)))
 
+    def test_equal_tables_hash_equal(self):
+        # -0.0 == 0.0, so a table with -0.0 in place of each 0.0 is the same
+        # tensor and must hash the same (hashing the bytes told them apart)
+        T = operator_tensor(13, 0.3)
+        U = HeredityTensor(np.where(T.table == 0.0, -0.0, T.table))
+        assert np.signbit(U.table).any()
+        assert T == U
+        assert len({T, U}) == 1
+
+    def test_table_built_once_read_only(self):
+        T = operator_tensor(13, 0.3)
+        assert T.table is T.table
+        assert not T.table.flags.writeable
+        assert T.table.ravel().tolist() == list(T.coeffs)
+
+    def test_nested_lists_and_ragged_input(self):
+        T = operator_tensor(4, 0.3)
+        assert HeredityTensor(T.table.tolist()) == T
+        ragged = T.table.tolist()
+        ragged[1][2] = ragged[1][2][:2]
+        for bad in (ragged, 1.0, [[[1.0]], [[1.0]]], [[[[1.0]]]]):
+            with pytest.raises(ValueError):
+                HeredityTensor(bad)
+
     def test_json_round_trip(self):
         T = operator_tensor(7, 0.3)
         U = HeredityTensor.from_json(T.to_json())
