@@ -27,37 +27,23 @@ ANALYZED_OPS = (4, 13, 25, 28)
 # Case tables
 # ---------------------------------------------------------------------------
 
-_E1 = (1.0, 0.0, 0.0)
-_E2 = (0.0, 1.0, 0.0)
-_E3 = (0.0, 0.0, 1.0)
-
-
-def _off_diag_rows(case: int, a: float) -> dict[tuple[int, int], tuple[float, float, float]]:
-    """Rows for the pairs (1,2), (1,3), (2,3) in off-diagonal case 1..6."""
-    pa = (a, 1.0 - a, 0.0)
-    pb = (0.0, a, 1.0 - a)
-    pc = (a, 0.0, 1.0 - a)
-    table = {
-        1: (pa, pa, _E3),
-        2: (pb, pb, _E1),
-        3: (pc, pc, _E2),
-        4: (_E3, _E3, pa),
-        5: (_E1, _E1, pb),
-        6: (_E2, _E2, pc),
-    }
-    r12, r13, r23 = table[case]
-    return {(1, 2): r12, (1, 3): r13, (2, 3): r23}
-
-
+# Each case is three rows of three coefficient codes: 0 -> 0, 1 -> 1, 2 -> a, 3 -> 1 - a.
+# Off-diagonal case -> rows for (1,2), (1,3), (2,3).
+_OFF_DIAG_CODES = ("230 230 001", "023 023 100", "203 203 010",
+                   "001 001 230", "100 100 023", "010 010 203")
 # Diagonal case -> rows for (1,1), (2,2), (3,3): six of the vertex assignments.
-_DIAG_TABLE: dict[int, tuple[tuple[float, float, float], ...]] = {
-    1: (_E1, _E2, _E3),
-    2: (_E2, _E1, _E3),
-    3: (_E3, _E2, _E1),
-    4: (_E1, _E3, _E2),
-    5: (_E3, _E1, _E2),
-    6: (_E2, _E3, _E1),
-}
+_DIAG_CODES = ("100 010 001", "010 100 001", "001 010 100",
+               "100 001 010", "001 100 010", "010 001 100")
+
+
+def _entry_codes(off_diag: str, diag: str) -> tuple[int, ...]:
+    """The 27 codes of one entry in row-major (i, j, k) order; row (j, i) repeats row (i, j)."""
+    (r12, r13, r23), (r11, r22, r33) = off_diag.split(), diag.split()
+    return tuple(map(int, r11 + r12 + r13 + r12 + r22 + r23 + r13 + r23 + r33))
+
+
+#: The codes of catalog entry n at index n - 1.
+_CODES = tuple(_entry_codes(off, diag) for off in _OFF_DIAG_CODES for diag in _DIAG_CODES)
 
 
 @dataclass(frozen=True)
@@ -75,6 +61,7 @@ class OperatorSpec:
                 raise ValueError(f"{name} must be 1..6, got {case!r}")
         if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"parameter a must lie in [0, 1], got {self.a}")
+        object.__setattr__(self, "a", self.a + 0.0)  # -0.0 is 0.0, or its tensor prints -0
 
     @property
     def op_id(self) -> int:
@@ -90,10 +77,9 @@ class OperatorSpec:
 
 def build_operator(spec: OperatorSpec) -> HeredityTensor:
     """Heredity tensor of one catalog entry (symmetric completion included)."""
-    rows: dict[tuple[int, int], Sequence[float]] = dict(_off_diag_rows(spec.case_one, spec.a))
-    for i, row in enumerate(_DIAG_TABLE[spec.case_two], start=1):
-        rows[(i, i)] = row
-    return HeredityTensor.from_rows(3, rows)
+    a = float(spec.a)
+    values = (0.0, 1.0, a, 1.0 - a)
+    return HeredityTensor._of(3, tuple(map(values.__getitem__, _CODES[spec.op_id - 1])))
 
 
 def operator_tensor(op_id: int, a: float) -> HeredityTensor:

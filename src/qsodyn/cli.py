@@ -49,7 +49,7 @@ def _domain(convert, ok, rule: str):
     def parse(text):
         value = convert(text)
         if ok(value):
-            return value
+            return value + 0  # -0.0 + 0 is 0.0: one value, one spelling, one output
         raise UsageError(rule)
 
     parse.__name__ = convert.__name__  # argparse says "invalid float value: 'x'"

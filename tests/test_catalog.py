@@ -1,6 +1,7 @@
 """Tests for the 36-operator catalog, partitions, conjugation, classification."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qsodyn.catalog import (
     OperatorSpec,
     PairPartition,
     REFERENCE_CLASSES,
+    _CODES,
+    _relabeling,
     are_conjugate,
     build_operator,
     classes_fixed_parameter,
@@ -114,6 +117,91 @@ class TestBuildOperator:
         assert len(lines) == 3
         assert lines[0].startswith("x1' = ")
         assert "x1^2" in lines[0]
+
+
+# The float row tables and row dict that the coefficient codes replaced, kept as the reference.
+_E1, _E2, _E3 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+_REFERENCE_DIAG = ((_E1, _E2, _E3), (_E2, _E1, _E3), (_E3, _E2, _E1),
+                   (_E1, _E3, _E2), (_E3, _E1, _E2), (_E2, _E3, _E1))
+
+
+def _reference_tensor(op_id, a):
+    """Rows (1,2), (1,3), (2,3) of the off-diagonal case, vertex rows of the diagonal case."""
+    case_one, case_two = divmod(op_id - 1, 6)
+    pa, pb, pc = (a, 1.0 - a, 0.0), (0.0, a, 1.0 - a), (a, 0.0, 1.0 - a)
+    off_diag = ((pa, pa, _E3), (pb, pb, _E1), (pc, pc, _E2),
+                (_E3, _E3, pa), (_E1, _E1, pb), (_E2, _E2, pc))[case_one]
+    rows = dict(zip(((1, 2), (1, 3), (2, 3)), off_diag))
+    rows.update(((i, i), row) for i, row in enumerate(_REFERENCE_DIAG[case_two], start=1))
+    return HeredityTensor.from_rows(3, rows)
+
+
+def _assert_matches_reference(a):
+    for op_id in range(1, 37):
+        got = operator_tensor(op_id, a).coeffs
+        assert all(type(v) is float for v in got), (op_id, a)
+        # float.hex tells the zeros apart: the signed zeros must match too
+        assert list(map(float.hex, got)) == list(map(float.hex, _reference_tensor(op_id, a).coeffs))
+
+
+_HALF_NEIGHBOURS = (math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))
+_SPECIAL_A = (0.0, 1.0, 0.5, *_HALF_NEIGHBOURS, 5e-324, 3 * 5e-324, 1.0 - 2.0 ** -53,
+              sys.float_info.min, 0, 1, True, False)
+
+
+class TestCodesMatchRowTables:
+    @pytest.mark.parametrize("a", _SPECIAL_A)
+    def test_special_values(self, a):
+        _assert_matches_reference(a)
+        _assert_matches_reference(np.float64(a))
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(2024)
+        for a in (*rng.random(200).tolist(), *(rng.random(50) * 1e-300).tolist()):
+            _assert_matches_reference(a)
+
+    # -0.0 is left out: the catalog reads it as 0.0 (TestNegativeZero)
+    @given(a=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300)).filter(
+        lambda a: math.copysign(1.0, a) > 0), as_numpy=st.booleans())
+    def test_sweep(self, a, as_numpy):
+        _assert_matches_reference(np.float64(a) if as_numpy else a)
+
+
+class TestNegativeZero:
+    def test_spec_reads_minus_zero_as_zero(self):
+        spec = OperatorSpec(1, 1, -0.0)
+        assert math.copysign(1.0, spec.a) == 1.0
+        for op_id in range(1, 37):
+            text = operator_tensor(op_id, -0.0).to_json()
+            assert text == operator_tensor(op_id, 0.0).to_json() and "-0" not in text
+
+
+def _exact_classes(mirror):
+    """Classes from exact links between the code tables: relabeling permutes an entry's
+    27 codes, and the mirror a -> 1 - a swaps codes 2 and 3."""
+    entry = {codes: n for n, codes in enumerate(_CODES, start=1)}
+    swaps = ((0, 1, 2, 3), (0, 1, 3, 2)) if mirror else ((0, 1, 2, 3),)
+    edges = []
+    for n, codes in enumerate(_CODES, start=1):
+        for p in Permutation.all_perms(3):
+            relabeled = [codes[i] for i in _relabeling(p)]
+            edges += [(n, entry[k]) for k in (tuple(s[c] for c in relabeled) for s in swaps)
+                      if k in entry]
+    return _reference_classes_from_edges(edges)
+
+
+class TestExactClassEvidence:
+    def test_codes_are_distinct(self):
+        assert len(set(_CODES)) == 36
+        assert all(len(codes) == 27 and set(codes) <= {0, 1, 2, 3} for codes in _CODES)
+
+    def test_mirror_links_give_the_reference_classes(self):
+        classes = _exact_classes(mirror=True)
+        assert len(classes) == 20 and matches_reference(classes)
+
+    def test_same_parameter_links_give_the_strict_classes(self):
+        classes = _exact_classes(mirror=False)
+        assert len(classes) == 24 and classes == classes_fixed_parameter(0.3)
 
 
 class TestStructureCheck:

@@ -487,6 +487,28 @@ class TestFlagDomains:
         assert json.loads(out)["trajectories"][0]["steps"] == 1
 
 
+class TestNegativeZeroParameter:
+    # -0.0 is one more spelling of a = 0: it must print the bytes of --a 0, not "a": -0
+    @pytest.mark.parametrize("argv", [
+        ("catalog",),
+        ("classify",),
+        ("classify", "--strict"),
+        ("simulate", "--op", "13", "--x0", "0.2,0.3,0.5"),
+        ("verify", "--op", "13", "--seeds", "3"),
+        ("tensor", "--op", "1"),
+    ], ids=["catalog", "classify", "classify-strict", "simulate", "verify", "tensor"])
+    def test_same_bytes_as_zero(self, capsys, argv):
+        code, out, err = _run(capsys, *argv, "--a=-0.0")
+        assert (code, err) == (0, "")
+        assert out == _run(capsys, *argv, "--a=0")[1]
+
+    def test_verify_list_item(self, capsys):
+        argv = ("verify", "--op", "13", "--seeds", "3")
+        code, out, _ = _run(capsys, *argv, "--a=-0.0,0.3")
+        assert code == 0
+        assert out == _run(capsys, *argv, "--a=0,0.3")[1]
+
+
 class TestDeterminism:
     def test_identical_bytes(self, capsys, tmp_path):
         a_path = tmp_path / "a.json"

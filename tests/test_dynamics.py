@@ -1096,6 +1096,20 @@ class TestBatchedDistanceMatchesOnePoint:
         assert mask.tolist() == [_excluded_reference(table, x) is not None for x in X]
         assert [table.excluded(x) for x in X] == [_excluded_reference(table, x) for x in X]
 
+    # d + (1e-9 - d) rounds to exactly 1e-9, so each row lies at EXCLUSION_RADIUS from its set
+    _AT_RADIUS = 4503600 * 2.0 ** -53
+
+    @pytest.mark.parametrize("op_id,row,name", [
+        (13, (1.0 - _AT_RADIUS, 1e-9 - _AT_RADIUS, 0.0), "fixed-point"),   # next to e1
+        (28, (0.0, 1.0 - _AT_RADIUS, 1e-9 - _AT_RADIUS), "2-periodic"),    # next to e2
+    ])
+    def test_a_point_at_the_radius_is_excluded(self, op_id, row, name):
+        table, x = _limit_table(op_id, 0.3), np.array(row)
+        point_set = table.fixed if name == "fixed-point" else table.periodic2
+        assert point_set.min_l1_distance(x) == EXCLUSION_RADIUS
+        assert table.excluded(x) == name
+        assert table.excluded(x[None]).tolist() == [True]
+
     def test_simplex_rows_matches_the_constructor(self):
         rng = np.random.default_rng(3)
         X = np.vstack([sample_with_rng(3, rng, 500), _edge_points(1, rng.random(200)),
