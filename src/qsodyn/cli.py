@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -298,10 +299,24 @@ def _cmd_tensor(args) -> int:
     return 0
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each `--flag -value` pair written `--flag=-value`. argparse reads a
+    token such as -0.1,0.3, -1e-5 or -inf as an option, so it would never reach the
+    flag's type. Only -h and tokens that start with -- are options here, so a flag
+    before one of them still lacks its value, as in `--a --out f`."""
+    out = [""]
+    for token in argv:
+        if re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[^-h]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out[1:]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

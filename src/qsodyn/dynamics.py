@@ -194,6 +194,7 @@ class TrajectoryReport:
     final_residuals: tuple[float, float]
 
     def to_json_dict(self) -> dict:
+        steps, xs = zip(*self.iterates_kept)
         return {
             "schema_version": 1,
             "initial": list(self.initial),
@@ -201,7 +202,7 @@ class TrajectoryReport:
             "outcome": {"kind": self.outcome.kind, "points": list(map(list, self.outcome.points))},
             # The two-step residual is inf at step 1 and is written as null.
             "final_residuals": [None if math.isinf(r) else r for r in self.final_residuals],
-            "iterates_kept": [{"step": s, "x": list(x)} for s, x in self.iterates_kept],
+            "iterates_kept": Records(("step", "x"), (steps, np.array(xs))),
         }
 
 

@@ -3,15 +3,15 @@
 Every float is written with 17 significant digits, which round-trips every
 64-bit value exactly and keeps repeated runs byte-identical. Lists whose
 elements are all numbers render inline so coordinate triples stay readable.
-Records, and a list of dicts that share one key tuple, are written column by
-column, with the same bytes as the generic path.
+`Records` are written column by column, with the bytes of the list of dicts
+they stand for; float data reaches that path only as float64 ndarray columns.
+A list of dicts is written dict by dict.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes for a str
 
 _17G = "%.17g".__mod__
@@ -27,8 +27,10 @@ class Records(Sequence):
 
     A column is a list or tuple of values, or a float64 ndarray of ndim 1, 2
     or 3 whose rows stand for floats, lists of floats or lists of such lists.
-    Records compare equal to the list of dicts they stand for, and `dumps`
-    writes them with that list's bytes.
+    Float data is written column by column only from such arrays. Records are
+    the one way to ask for column output; a list of dicts is written dict by
+    dict. Records compare equal to the list of dicts they stand for, and
+    `dumps` writes them with that list's bytes.
     """
 
     __slots__ = ("keys", "columns")
@@ -74,16 +76,12 @@ def dumps(obj) -> str:
     return _render(obj, "\n", {})
 
 
-def _finite(text: str) -> str:
-    """text itself; the .17g texts of inf, -inf and nan are the only ones with an n."""
+def _floats(values) -> str:
+    """Floats joined by ", "; the .17g texts of inf, -inf and nan are the only ones with an n."""
+    text = ", ".join(map(_17G, values))
     if "n" in text:
         raise ValueError(_NON_FINITE)
     return text
-
-
-def _floats(values) -> str:
-    """Floats joined by ", "."""
-    return _finite(", ".join(map(_17G, values)))
 
 
 def _render(obj, pad: str, keys: dict[str, str]) -> str:
@@ -103,8 +101,6 @@ def _render(obj, pad: str, keys: dict[str, str]) -> str:
         kinds = set(map(type, obj))
         if kinds == {float}:
             return "[" + _floats(obj) + "]"
-        if kinds == {dict} and len(obj) > 1 and obj[0] and len(set(map(tuple, obj))) == 1:
-            return _records(Records(obj[0], zip(*map(dict.values, obj))), pad, keys)
         if obj and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join([_render(v, pad, keys) for v in obj]) + "]"
         heads, values, brackets = [""] * len(obj), obj, "[]"
@@ -144,30 +140,22 @@ def _records(records: Records, pad: str, keys: dict[str, str]) -> str:
     sep = "," + inner
     parts = ["[", inner]
     for start in range(0, len(records), _BLOCK):
-        block = [column[start:start + _BLOCK] for column in records.columns]
-        parts += (sep.join(_block(block, template, field, keys)), sep)
+        texts = [_column(column[start:start + _BLOCK], field, keys) for column in records.columns]
+        parts += (sep.join(map(template.__mod__, zip(*texts))), sep)
     parts[-1] = pad  # in place of the separator after the last block
     parts.append("]")
     return "".join(parts)
 
 
-def _block(columns, template: str, field: str, keys: dict[str, str]) -> list[str]:
-    """The record texts of one block of columns; the column texts are freed on
-    return, before the join."""
-    return list(map(template.__mod__, zip(*[_column(values, field, keys) for values in columns])))
-
-
 def _column(values, pad: str, keys: dict[str, str]):
     """The texts of one field's values: a float64 array by its shape, any other
-    column by the exact types found in it."""
+    column by the exact types found in it, or value by value."""
     if _is_array(values):
         if not sys.modules["numpy"].isfinite(values).all():
             raise ValueError(_NON_FINITE)
         return map(_cell_format(values.shape[1:], pad).__mod__,
                    map(tuple, values.reshape(len(values), -1).tolist()))
     kinds = set(map(type, values))
-    if kinds == {float}:
-        return _checked(_17G, values)
     if kinds == {int}:
         return map(str, values)
     if kinds == {str}:
@@ -176,22 +164,7 @@ def _column(values, pad: str, keys: dict[str, str]):
         return map(_CONSTANTS.__getitem__, values)
     if kinds == {int, type(None)}:
         return ["null" if value is None else str(value) for value in values]
-    if kinds == {list} and _one_length(values):
-        cells = list(chain.from_iterable(values))
-        inner = set(map(type, cells))
-        if inner == {float}:
-            return _checked(_cell_format((len(values[0]),), pad).__mod__, map(tuple, values))
-        if (inner == {list} and _one_length(cells)
-                and set(map(type, chain.from_iterable(cells))) == {float}):
-            shape = (len(values[0]), len(cells[0]))
-            return _checked(_cell_format(shape, pad).__mod__,
-                            map(tuple, map(chain.from_iterable, values)))
     return [_render(value, pad, keys) for value in values]
-
-
-def _one_length(lists) -> bool:
-    """True when the lists share one length and it is not 0."""
-    return len(set(map(len, lists))) == 1 and len(lists[0]) > 0
 
 
 def _cell_format(shape: tuple, pad: str) -> str:
@@ -203,9 +176,3 @@ def _cell_format(shape: tuple, pad: str) -> str:
     if len(shape) == 1:
         return row
     return "[" + ",".join([pad + "  " + row] * shape[0]) + pad + "]" if shape[0] else "[]"
-
-
-def _checked(format_, values) -> list[str]:
-    texts = list(map(format_, values))
-    _finite("".join(texts))
-    return texts

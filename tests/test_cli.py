@@ -487,6 +487,39 @@ class TestFlagDomains:
         assert json.loads(out)["trajectories"][0]["steps"] == 1
 
 
+# Values that start with - and are no plain negative number, so argparse would read
+# each as an option. Written after their flag with a space, each must reach the
+# flag's type and give the exit code, output and message of the `--flag=value` form.
+_DASHED_VALUES = [
+    (("verify", "--op", "13"), "--a", "-0.1,0.3", "--a must lie in [0, 1]"),
+    (("simulate", "--op", "13", "--seed", "1"), "--a", "-1e-5", "--a must lie in [0, 1]"),
+    (("classify",), "--a", "-inf", "--a must lie in [0, 1]"),
+    (("simulate", "--op", "13", "--a", "0.3", "--seed", "1"), "--tol", "-1e-9",
+     "--tol must be positive and finite"),
+    (("verify", "--op", "28"), "--tol", "-inf", "--tol must be positive and finite"),
+    (("simulate", "--op", "13", "--a", "0.3"), "--x0", "-0.5,1,0.5",
+     "--x0 is not a simplex point: negative coordinate -0.5 below -1e-12"),
+    (("simulate", "--op", "13", "--a", "0.3"), "--x0", "-1e-13,0.5,0.5", None),  # roundoff: runs
+]
+
+
+class TestDashedValues:
+    @pytest.mark.parametrize("argv,flag,value,message", _DASHED_VALUES,
+                             ids=[f"{argv[0]}{flag}{value}" for argv, flag, value, _ in _DASHED_VALUES])
+    def test_spaced_value_reaches_its_flag(self, capsys, argv, flag, value, message):
+        spaced = _run(capsys, *argv, flag, value)
+        assert spaced == _run(capsys, *argv, f"{flag}={value}")
+        if message is None:
+            assert spaced[0] == 0 and spaced[2] == "" and json.loads(spaced[1])
+        else:
+            assert spaced == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("catalog", "--a", "--out", "f"),
+                                      ("verify", "--op", "13", "--a", "--", "-0.1")])
+    def test_missing_value_is_still_an_error(self, capsys, no_commands, argv):
+        assert _run(capsys, *argv) == (1, "", "error: argument --a: expected one argument\n")
+
+
 class TestNegativeZeroParameter:
     # -0.0 is one more spelling of a = 0: it must print the bytes of --a 0, not "a": -0
     @pytest.mark.parametrize("argv", [

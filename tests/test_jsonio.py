@@ -97,8 +97,8 @@ def _as_lists(obj):
     return obj
 
 
-# Lists of dicts that share one key tuple take the column path. Each key draws one
-# column: a kind that path formats in one call, or a mix that falls back.
+# Lists of dicts that share one key tuple are written dict by dict, with the bytes of
+# the reference writer. Each key draws one column of cells of one kind, or a mix.
 _keys = (st.text(st.characters(max_codepoint=127)) | st.text() | st.text().map(lambda t: t + "%")
          | st.sampled_from(["x0", "é", "%", "%s", "%%", "%(a)s", "100%d"]))
 _rows = st.integers(1, 4).flatmap(lambda w: st.lists(_finite, min_size=w, max_size=w))
@@ -172,6 +172,30 @@ class TestRecordLists:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * len(text)
+
+
+class TestTrajectoryPayload:
+    def test_peak_memory_is_bounded_by_the_text(self):
+        # The payload of `simulate --op 13 --a 0.45 --seed 7 --count 300`, built and
+        # written under one trace: 300 orbits whose kept iterates are Records columns.
+        from qsodyn import dynamics, simplex
+        from qsodyn.catalog import operator_tensor
+
+        def payload():
+            reports = dynamics.omega_limits(
+                operator_tensor(13, 0.45), [p.coords for p in simplex.sample(3, 7, 300)])
+            return {"schema_version": 1, "source": {"op": 13, "a": 0.45},
+                    "tol": dynamics.DEFAULT_TOL, "max_iter": dynamics.DEFAULT_MAX_ITER,
+                    "trajectories": [r.to_json_dict() for r in reports]}
+
+        tracemalloc.start()
+        try:
+            text = dumps(payload())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 4e6
+        assert peak <= 3 * len(text)
 
 
 # Shapes of one cell of a float64 array column: a float, a row, a block of rows.
