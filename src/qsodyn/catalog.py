@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .operators import HeredityTensor
 from .permutations import Permutation
-from .rules import ZERO_TOL
+from .rules import ZERO_TOL, require_tol
 
 #: Catalog ids whose limit behavior has closed-form predictions (in `dynamics`).
 ANALYZED_OPS = (4, 13, 25, 28)
@@ -169,6 +169,7 @@ def partition_structure_check(
     are m distinct vertices, i.e. P_{ii} = e_{pi(i)} for some permutation pi
     (returned when found).
     """
+    require_tol(tol)
     if partition.m != T.m:
         raise ValueError("partition size mismatch")
     blocks = [[(pair, _row_support(T.row(*pair), tol)) for pair in sorted(block)]
@@ -237,16 +238,12 @@ def _within(P: Sequence[float], Q: Sequence[float], tol: float) -> bool:
 # The classifier's match tolerance. Coefficients are 0, 1, a or 1 - a, so a link that holds
 # at no other parameter holds within this tolerance only within it of 0, 1/2 or 1.
 MATCH_TOL, DEGENERATE_PARAMS = 1e-12, (0.0, 0.5, 1.0)
-
-
-def _check_match_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:  # a max-norm distance; 0 asks for exact matches
-        raise ValueError("tol must be finite and >= 0")
+_check_match_tol = require_tol  # its former name here, which callers still import
 
 
 def are_conjugate(T1: HeredityTensor, T2: HeredityTensor, tol: float = MATCH_TOL) -> Optional[Permutation]:
     """First permutation (lexicographic) carrying T1 onto T2 within tol, if any."""
-    _check_match_tol(tol)
+    require_tol(tol)
     if T1.m != T2.m:
         raise ValueError("dimension mismatch")
     P = T1.coeffs
@@ -279,7 +276,7 @@ def classify_catalog(a: float, tol: float = MATCH_TOL, merge_mirror: bool = True
 
     Returns the partition of {1..36} as a sorted list of sorted tuples.
     """
-    _check_match_tol(tol)
+    require_tol(tol)
     params = (a, 1.0 - a) if merge_mirror else (a,)
     targets = [operator_tensor(k, b).coeffs for b in params for k in range(1, 37)]
     relabelings = [_relabeling(p) for p in Permutation.all_perms(3)]
@@ -312,15 +309,9 @@ def partition_stabilizer(partition: PairPartition) -> list[Permutation]:
     stabilizes the partition when the set of blocks is preserved.
     """
     blocks = {frozenset(block) for block in partition.blocks}
-    out = []
-    for p in Permutation.all_perms(partition.m):
-        mapped = {
-            frozenset(tuple(sorted((p(i), p(j)))) for i, j in block)
-            for block in partition.blocks
-        }
-        if mapped == blocks:
-            out.append(p)
-    return out
+    return [p for p in Permutation.all_perms(partition.m)
+            if {frozenset(tuple(sorted((p(i), p(j)))) for i, j in block)
+                for block in partition.blocks} == blocks]
 
 
 # ---------------------------------------------------------------------------

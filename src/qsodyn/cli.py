@@ -193,37 +193,30 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _read_tensor_file(path: Path) -> HeredityTensor:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read tensor file: {exc}") from None
-    try:
-        return HeredityTensor.from_json(text)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise UsageError(f"bad tensor file: {exc}") from None
-
-
 def _load_tensor(args) -> tuple[HeredityTensor, dict]:
+    """The tensor of --op with --a, or of the --tensor file, with its JSON source tag."""
     if (args.tensor is None) == (args.op is None):
         raise UsageError("need exactly one input source: --op with --a, or --tensor")
-    if args.tensor is not None and args.a is not None:
+    if args.tensor is None:
+        if args.a is None:
+            raise UsageError("--op requires --a")
+        return operator_tensor(args.op, args.a), {"op": args.op, "a": args.a}
+    if args.a is not None:
         raise UsageError("--a goes with --op; a tensor file carries its own coefficients")
-    if args.tensor is not None:
-        T = _read_tensor_file(args.tensor)
-        report = validate(T)
-        if not report.ok:
-            raise UsageError(
-                "tensor file violates the heredity constraints: "
-                + "; ".join(report.describe()[:5]))
-        return T, {"tensor_file": str(args.tensor)}
-    if args.a is None:
-        raise UsageError("--op requires --a")
-    return operator_tensor(args.op, args.a), {"op": args.op, "a": args.a}
+    try:
+        return HeredityTensor.from_json(args.tensor.read_text()), {"tensor_file": str(args.tensor)}
+    except OSError as exc:
+        raise UsageError(f"cannot read tensor file: {exc}") from None
+    except ValueError as exc:  # also text that is not UTF-8
+        raise UsageError(f"bad tensor file: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
     T, source = _load_tensor(args)
+    report = validate(T)
+    if not report.ok:
+        raise UsageError("tensor file violates the heredity constraints: "
+                         + "; ".join(report.describe()[:5]))
     if (args.x0 is None) == (args.seed is None):
         raise UsageError("need exactly one of --x0 or --seed")
     if args.x0 is not None:
@@ -281,22 +274,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    if args.tensor is not None and (args.op is not None or args.a is not None):
-        raise UsageError("choose one: export with --op/--a or validate with --tensor")
-    if args.tensor is not None:
-        T = _read_tensor_file(args.tensor)
-        report = validate(T)
-        payload = {
-            "m": T.m,
-            "valid": report.ok,
-            "violations": report.describe(),
-        }
-        _emit_json(payload, args.out)
-        return 0 if report.ok else 2
-    if args.op is None or args.a is None:
-        raise UsageError("tensor export needs --op and --a")
-    _emit(operator_tensor(args.op, args.a).to_json(), args.out)
-    return 0
+    T, source = _load_tensor(args)
+    if "op" in source:
+        _emit(T.to_json(), args.out)
+        return 0
+    report = validate(T)
+    _emit_json({"m": T.m, "valid": report.ok, "violations": report.describe()}, args.out)
+    return 0 if report.ok else 2
 
 
 def _attach_values(argv: list[str]) -> list[str]:

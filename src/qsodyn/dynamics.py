@@ -26,7 +26,7 @@ import numpy as np
 from .operators import HeredityTensor, apply, apply_array
 from .catalog import ANALYZED_OPS, operator_tensor
 from .jsonio import Records
-from .rules import ZERO_TOL, require_count
+from .rules import ZERO_TOL, require_count, require_tol
 from .simplex import SimplexPoint, sample_with_rng, simplex_rows, vertex
 
 #: Supremum of the slice parameter carrying genuine 2-cycles for operator 4
@@ -736,6 +736,7 @@ class RegionTag:
 
 def region_classify(x: SimplexPoint, tol: float = ZERO_TOL) -> RegionTag:
     """Classify a point of the 2-simplex into its most specific region."""
+    require_tol(tol)
     if x.m != 3:
         raise ValueError("region classification needs m = 3")
     coords = x.coords
@@ -918,6 +919,7 @@ def verify_predictions(op_id: int, a_values: Sequence[float], seeds: int = 100,
     """
     _require_analyzed(op_id)
     require_count("seeds", seeds, 1)
+    require_count("base_seed", base_seed, 0)
     _check_budget(DEFAULT_TOL if tol is None else tol,
                   DEFAULT_MAX_ITER if max_iter is None else max_iter)
     # Every parameter must have covered predictions before any orbit runs.

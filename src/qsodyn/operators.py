@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import simplex
 from .permutations import Permutation
-from .rules import ZERO_TOL, require_count
+from .rules import ZERO_TOL, json_floats, read_json, require_count, require_tol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,15 +130,15 @@ class HeredityTensor:
 
     @staticmethod
     def from_json(text: str) -> "HeredityTensor":
-        data = json.loads(text)
-        m, coeffs = data["m"], data["P"]
-        if type(m) is not int:
-            raise ValueError(f"m must be a JSON integer, got {m!r}")
-        if not isinstance(coeffs, list) or not all(type(v) in (int, float) for v in coeffs):
-            raise ValueError("P must be a flat list of JSON numbers")
-        if m < 1 or len(coeffs) != m ** 3:
-            raise ValueError(f"expected {m ** 3} coefficients with m >= 1, got {len(coeffs)}")
-        return HeredityTensor._of(m, tuple(map(float, coeffs)))
+        """The tensor of `to_json`'s form; any other text raises ValueError."""
+        data = read_json(text)
+        if not isinstance(data, dict):
+            raise ValueError('expected a JSON object {"m": m, "P": [numbers]}')
+        m, coeffs = data.get("m"), json_floats(data.get("P"), "P")
+        if type(m) is not int or m < 1 or len(coeffs) != m ** 3:
+            raise ValueError(f"need an integer m >= 1 and m**3 coefficients, got m = {m!r} "
+                             f"and {len(coeffs)} coefficients")
+        return HeredityTensor._of(m, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,7 @@ def validate(T: HeredityTensor, tol: float = ZERO_TOL) -> TensorValidation:
     Returns a report listing every violated constraint with indices and
     magnitudes; an empty report means the tensor is a valid heredity array.
     """
+    require_tol(tol)
     m, P = T.m, T.coeffs
     cells = list(itertools.product(range(1, m + 1), repeat=3))  # (i, j, k) in P's order
     asym = [abs(v - P[((j - 1) * m + i - 1) * m + k - 1]) for v, (i, j, k) in zip(P, cells)]
@@ -301,6 +302,7 @@ def _first_witnesses(T: HeredityTensor, tol: float) -> list[list[int]]:
     """first[k][c]: flat index i * m + j of the lexicographically first pair
     i <= j, both different from k, with P[i, j, c] > tol; -1 when there is
     none, that is when column c read as coordinate k is Volterra."""
+    require_tol(tol)
     m, P = T.m, T.coeffs
     feeding = [[(i, j) for i in range(m) for j in range(i, m) if P[(i * m + j) * m + c] > tol]
                for c in range(m)]

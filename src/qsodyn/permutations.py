@@ -56,16 +56,12 @@ class Permutation:
         seen: set[int] = set()
         parts = []
         for start in range(1, self.m + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = self(j)
-            parts.append("(" + " ".join(str(c) for c in cyc) + ")")
+            if start not in seen:  # each cycle is written from its least element
+                cyc = [start]
+                while self(cyc[-1]) != start:
+                    cyc.append(self(cyc[-1]))
+                seen.update(cyc)
+                parts.append("(" + " ".join(map(str, cyc)) + ")")
         return "".join(parts)
 
     @staticmethod

@@ -6,14 +6,13 @@ the usual index-set convention I = {1..m}.
 
 from __future__ import annotations
 
-import json
 from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .jsonio import dumps
-from .rules import ZERO_TOL, require_count
+from .rules import ZERO_TOL, json_floats, read_json, require_count, require_tol
 
 # Negative coordinates no lower than -NEG_TOL are clamped to 0 on construction.
 NEG_TOL = 1e-12
@@ -87,10 +86,8 @@ class SimplexPoint:
 
     @staticmethod
     def from_json(text: str) -> "SimplexPoint":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of numbers")
-        return SimplexPoint(data)
+        """The point of `to_json`'s form; any other text raises ValueError."""
+        return SimplexPoint(json_floats(read_json(text), "a simplex point"))
 
 
 @np.errstate(over="ignore")  # a sum that overflows is inf, which is rejected
@@ -115,6 +112,7 @@ def vertex(i: int, m: int) -> SimplexPoint:
 
 def support(x: SimplexPoint, tol: float = ZERO_TOL) -> frozenset[int]:
     """Indices of the coordinates of x that are nonzero beyond tol (1-based)."""
+    require_tol(tol)
     return frozenset(int(i) + 1 for i in np.nonzero(x.coords > tol)[0])
 
 

@@ -405,6 +405,37 @@ class TestTensor:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [("tensor",), ("simulate", "--seed", "1")],
+                             ids=["tensor", "simulate"])
+    def test_tensor_file_not_utf8(self, capsys, tmp_path, argv):
+        path = tmp_path / "bin.json"
+        path.write_bytes(bytes(range(128, 256)) + b'{"m": 1, "P": [1]}')
+        code, out, err = _run(capsys, *argv, "--tensor", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad tensor file")
+
+    @pytest.mark.parametrize("argv", [("tensor",), ("simulate", "--seed", "1")],
+                             ids=["tensor", "simulate"])
+    def test_unreadable_tensor_file(self, capsys, tmp_path, argv):
+        code, out, err = _run(capsys, *argv, "--tensor", str(tmp_path))  # a directory
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read tensor file")
+
+    # simulate and tensor share one source rule: exactly one of --op and --tensor,
+    # and --a only with --op
+    @pytest.mark.parametrize("source,message", [
+        ((), "need exactly one input source: --op with --a, or --tensor"),
+        (("--a", "0.3"), "need exactly one input source: --op with --a, or --tensor"),
+        (("--op", "13", "--a", "0.3", "--tensor", "t.json"),
+         "need exactly one input source: --op with --a, or --tensor"),
+        (("--op", "13"), "--op requires --a"),
+        (("--tensor", "t.json", "--a", "0.3"),
+         "--a goes with --op; a tensor file carries its own coefficients"),
+    ], ids=["none", "a-only", "both", "op-without-a", "tensor-with-a"])
+    def test_source_rule(self, capsys, source, message):
+        for command in (("tensor",), ("simulate", "--seed", "1")):
+            assert _run(capsys, *command, *source) == (1, "", f"error: {message}\n")
+
     def test_empty_tensor_file(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('{"m": 0, "P": []}')

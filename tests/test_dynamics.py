@@ -1153,6 +1153,8 @@ _COUNT_SITES = {
     "verify_predictions seeds": (lambda v: verify_predictions(13, (0.2,), seeds=v), "seeds", 1),
     "verify_predictions max_iter": (lambda v: verify_predictions(13, (0.2,), seeds=2, max_iter=v),
                                     "max_iter", 1),
+    "verify_predictions base_seed": (
+        lambda v: verify_predictions(13, (0.2,), seeds=2, base_seed=v), "base_seed", 0),
     "fixed_points_numeric grid_n": (
         lambda v: fixed_points_numeric(operator_tensor(13, 0.2), grid_n=v), "grid_n", 10),
     "iterate n": (lambda v: iterate(operator_tensor(13, 0.2), E1, v), "n", 0),
@@ -1165,4 +1167,12 @@ class TestIntegerCounts:
         call, name, low = _COUNT_SITES[site]
         for bad in (math.nan, math.inf, -math.inf, 2.5, "3", low - 1):
             with pytest.raises(ValueError, match=f"need an integer {name} >= {low}, got "):
+                call(bad)
+
+    @pytest.mark.parametrize("site", sorted(_COUNT_SITES))
+    def test_bools_fail(self, site):
+        # bool is an Integral: without the check, max_iter=True would run one step
+        call, name, low = _COUNT_SITES[site]
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=f"need an integer {name} >= {low}, got {bad}"):
                 call(bad)

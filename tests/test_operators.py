@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qsodyn.catalog import operator_tensor
+from qsodyn.catalog import CATALOG_PARTITION, operator_tensor, partition_structure_check
+from qsodyn.dynamics import region_classify
 from qsodyn.operators import (
     EllVolterraStructure,
     HeredityTensor,
@@ -21,7 +22,7 @@ from qsodyn.operators import (
     volterra_coefficients,
 )
 from qsodyn.permutations import Permutation
-from qsodyn.simplex import SimplexPoint, sample, vertex
+from qsodyn.simplex import SimplexPoint, sample, support, vertex
 
 from printed_forms import PRINTED_FORMS
 
@@ -76,6 +77,16 @@ class TestConstruction:
         T = operator_tensor(7, 0.3)
         U = HeredityTensor.from_json(T.to_json())
         assert U == T
+
+    @pytest.mark.parametrize("text", [
+        "[]", "{}", '{"m": 1}', '{"P": [1]}', '"text"', "1", "null",
+        '{"m": 1, "P": [1' + "0" * 400 + ']}',
+        "[" * 100000 + "]" * 100000,
+    ], ids=("list", "empty-object", "no-P", "no-m", "string", "number", "null",
+            "P-huge-int", "deep-nesting"))
+    def test_from_json_raises_value_error_on_other_text(self, text):
+        with pytest.raises(ValueError):
+            HeredityTensor.from_json(text)
 
     def test_json_round_trip_non_finite(self):
         T = HeredityTensor(np.array([np.nan, np.inf, -np.inf, 0.5] * 2).reshape(2, 2, 2))
@@ -420,3 +431,30 @@ class TestFromRowsAdversarial:
         assert report.ok == bool(sound)
         if not np.all(np.isfinite(P)):
             assert any(v.kind == "non_finite" for v in report.violations)
+
+
+# Every function that compares with a zero threshold `tol`: each answered falsely at a
+# NaN or infinite tol (e.g. validate(T, nan).ok was True for a negative coefficient).
+_TOL_SITES = {
+    "validate": lambda tol: validate(operator_tensor(13, 0.3), tol),
+    "is_volterra": lambda tol: is_volterra(operator_tensor(13, 0.3), tol),
+    "ell_volterra_structure": lambda tol: ell_volterra_structure(operator_tensor(13, 0.3), tol),
+    "permuted_ell_volterra": lambda tol: permuted_ell_volterra(operator_tensor(28, 0.3), tol),
+    "structure_label": lambda tol: structure_label(operator_tensor(13, 0.3), tol),
+    "partition_structure_check": lambda tol: partition_structure_check(
+        operator_tensor(13, 0.3), CATALOG_PARTITION, tol),
+    "region_classify": lambda tol: region_classify(SimplexPoint((0.0, 0.5, 0.5)), tol),
+    "support": lambda tol: support(SimplexPoint((0.0, 0.5, 0.5)), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("site", sorted(_TOL_SITES))
+def test_tolerance_must_be_finite_and_non_negative(site, tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        _TOL_SITES[site](tol)
+
+
+@pytest.mark.parametrize("site", sorted(_TOL_SITES))
+def test_zero_tolerance_is_allowed(site):
+    _TOL_SITES[site](0.0)

@@ -161,6 +161,21 @@ class TestSerialization:
             q = SimplexPoint.from_json(p.to_json())
             assert q == p
 
+    @pytest.mark.parametrize("text", [
+        "[true, false, false]", '["0.5", "0.5"]', "[0.5, null, 0.5]", '{"x": [1, 0, 0]}',
+        "1", "[[1, 0, 0]]", "[]", "[NaN, 0, 1]", "not json",
+        "[1" + "0" * 400 + ", 0, 0]",
+        "[" * 100000 + "]" * 100000,
+    ], ids=("bools", "strings", "null", "object", "number", "nested", "empty", "nan",
+            "not-json", "huge-int", "deep-nesting"))
+    def test_from_json_reads_only_json_numbers(self, text):
+        with pytest.raises(ValueError):
+            SimplexPoint.from_json(text)
+
+    def test_from_json_reads_ints_and_floats(self):
+        assert SimplexPoint.from_json("[1, 0, 0]") == vertex(1, 3)
+        assert SimplexPoint.from_json("[0.25, 0.75]") == SimplexPoint((0.25, 0.75))
+
     def test_17_digits(self):
         text = SimplexPoint((0.1, 0.2, 0.7)).to_json()
         assert "0.10000000000000001" in text
