@@ -27,50 +27,19 @@ def _lazy(name: str):
 simplex = _lazy("simplex")
 dynamics = _lazy("dynamics")
 
-from .permutations import Permutation  # noqa: E402  (after the lazy modules, which these import)
-from .operators import (  # noqa: E402
-    EllVolterraStructure,
-    HeredityTensor,
-    TensorValidation,
-    VolterraCoefficients,
-    apply,
-    apply_array,
-    ell_volterra_structure,
-    is_volterra,
-    permuted_ell_volterra,
-    relabel_outputs,
-    structure_label,
-    validate,
-    volterra_coefficients,
-)
-from .catalog import (  # noqa: E402
-    ANALYZED_OPS,
-    CATALOG_PARTITION,
-    OperatorSpec,
-    PairPartition,
-    REFERENCE_CLASSES,
-    StructureReport,
-    are_conjugate,
-    build_operator,
-    classes_fixed_parameter,
-    classify_catalog,
-    coefficient_distance,
-    conjugate,
-    matches_reference,
-    operator_tensor,
-    pair_partitions,
-    partition_stabilizer,
-    partition_structure_check,
-    polynomial_text,
-)
+from . import catalog, operators, permutations  # noqa: E402  (operators imports the lazy simplex)
 
 
 def __getattr__(name: str):
-    """A public name of `simplex` or `dynamics`, read from its module, which runs then (PEP 562)."""
-    for module in (simplex, dynamics) if name in __all__ else ():
+    """A public name, read from its home module; numpy-free modules first (PEP 562)."""
+    for module in (permutations, operators, catalog, simplex, dynamics) if name in __all__ else ():
         if hasattr(module, name):
             return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return [*globals(), *__all__]
 
 
 __version__ = "0.1.0"

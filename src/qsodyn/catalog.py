@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional, Sequence
 
 from .operators import HeredityTensor
 from .permutations import Permutation
-from .rules import ZERO_TOL, require_tol
+from .rules import ZERO_TOL, require_count, require_tol
 
 #: Catalog ids whose limit behavior has closed-form predictions (in `dynamics`).
 ANALYZED_OPS = (4, 13, 25, 28)
@@ -56,9 +55,7 @@ class OperatorSpec:
 
     def __post_init__(self):
         for name in ("case_one", "case_two"):
-            case = getattr(self, name)
-            if not (isinstance(case, Integral) and 1 <= case <= 6):
-                raise ValueError(f"{name} must be 1..6, got {case!r}")
+            require_count(name, getattr(self, name), 1, 6)
         if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"parameter a must lie in [0, 1], got {self.a}")
         object.__setattr__(self, "a", self.a + 0.0)  # -0.0 is 0.0, or its tensor prints -0
@@ -70,8 +67,7 @@ class OperatorSpec:
 
     @staticmethod
     def from_id(op_id: int, a: float) -> "OperatorSpec":
-        if not (isinstance(op_id, Integral) and 1 <= op_id <= 36):  # NaN, 2.5 and "3" fail
-            raise ValueError(f"operator id must be 1..36, got {op_id!r}")
+        require_count("operator id", op_id, 1, 36)
         return OperatorSpec((op_id - 1) // 6 + 1, (op_id - 1) % 6 + 1, a)
 
 

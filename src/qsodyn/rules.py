@@ -18,10 +18,13 @@ def require_tol(tol: float) -> None:
         raise ValueError("tol must be finite and >= 0")
 
 
-def require_count(name: str, value, low: int) -> None:
-    """The one rule for integer counts: an Integral value >= low (NaN, 2.5, "3", True fail)."""
-    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
-        raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
+def require_count(name: str, value, low: int, high: int | None = None) -> None:
+    """The one rule for integer counts and indices: an Integral value >= low, and <= high
+    when high is given (NaN, 2.5, "3", True fail)."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low
+            and (high is None or value <= high)):
+        raise ValueError(f"need an integer {name} >= {low}, got {value!r}" if high is None
+                         else f"{name} must be {low}..{high}, got {value!r}")
 
 
 def read_json(text: str):

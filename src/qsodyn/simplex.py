@@ -6,7 +6,6 @@ the usual index-set convention I = {1..m}.
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,8 +102,8 @@ def simplex_rows(X: np.ndarray) -> np.ndarray:
 
 def vertex(i: int, m: int) -> SimplexPoint:
     """The i-th vertex e_i of the (m-1)-simplex (1-based)."""
-    if not (isinstance(i, Integral) and isinstance(m, Integral) and 1 <= i <= m):
-        raise ValueError(f"vertex index {i} must be an integer in 1..{m}")
+    require_count("m", m, 1)
+    require_count("vertex index", i, 1, m)
     arr = np.zeros(m)
     arr[i - 1] = 1.0
     return SimplexPoint(arr)

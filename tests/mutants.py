@@ -1,0 +1,103 @@
+"""A checked-in table of hand-made mutants of src/qsodyn, each with the tests that must kill it.
+
+Run from anywhere: `python tests/mutants.py`. For each row the repository (without .git)
+is copied into a temporary directory, the row's old text, which must occur exactly once
+in its file, is replaced by its new text, and `python -m pytest -q -x -p no:cacheprovider
+<selection>` runs there with PYTHONPATH at the copy's src. A row expects "killed" (the
+selected tests fail) or "equivalent" (they pass; the row says why). The script prints one
+line per row and exits 1 naming each row whose result differs from its expectation.
+
+The file name does not match test_*.py, so the tier-1 suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    selection: tuple[str, ...]  # pytest arguments, relative to the repository root
+    expect: str  # "killed" or "equivalent"
+    reason: str = ""  # why an equivalent mutant changes no behaviour
+
+
+MUTANTS = (
+    Mutant("exclusion radius is closed", "src/qsodyn/dynamics.py",
+           "near = self.fixed.min_l1_distance(x) <= EXCLUSION_RADIUS",
+           "near = self.fixed.min_l1_distance(x) < EXCLUSION_RADIUS",
+           ("tests/test_dynamics.py::TestBatchedDistanceMatchesOnePoint",), "killed"),
+    Mutant("JSON floats keep 17 digits", "src/qsodyn/jsonio.py",
+           '_17G = "%.17g".__mod__', '_17G = "%.16g".__mod__',
+           ("tests/test_jsonio.py",), "killed"),
+    Mutant("regime tests a == 1/2 exactly", "src/qsodyn/dynamics.py",
+           "if a == 0.5:", "if abs(a - 0.5) <= 1e-9:",
+           ("tests/test_dynamics.py::TestRegime",), "killed"),
+    Mutant("catalog code 3 is 1 - a", "src/qsodyn/catalog.py",
+           "values = (0.0, 1.0, a, 1.0 - a)", "values = (0.0, 1.0, a, 1.0 - a - 0.0 * a)",
+           ("tests/test_catalog.py",), "equivalent",
+           "a is finite in [0, 1], so 0.0 * a is +0.0 and subtracting it leaves 1 - a exact"),
+    Mutant("counts reject bools", "src/qsodyn/rules.py",
+           "isinstance(value, Integral) and not isinstance(value, bool) and value >= low",
+           "isinstance(value, Integral) and value >= low",
+           ("tests/test_dynamics.py::TestIntegerCounts",), "killed"),
+    Mutant("public names resolve numpy-free modules first", "src/qsodyn/__init__.py",
+           "(permutations, operators, catalog, simplex, dynamics)",
+           "(simplex, dynamics, permutations, operators, catalog)",
+           ("tests/test_import_boundary.py",), "killed"),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """The result of one row: "killed", "equivalent", or why the row could not run."""
+    with tempfile.TemporaryDirectory(prefix="qsodyn-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+        path = tree / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 *mutant.selection], cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"timed out after {TIMEOUT_S} s"
+        if done.returncode not in (0, 1):  # 2-5: interrupted, internal or usage error, no tests
+            return f"pytest exited {done.returncode}"
+        return "killed" if done.returncode else "equivalent"
+
+
+def main() -> int:
+    wrong = []
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        result = run(mutant)
+        ok = result == mutant.expect
+        print(f"{'ok' if ok else 'WRONG':5} {mutant.name}: expected {mutant.expect}, got {result}"
+              f" ({time.perf_counter() - start:.1f} s)", flush=True)
+        if not ok:
+            wrong.append(mutant.name)
+    if wrong:
+        print("rows whose result differs from the table: " + "; ".join(wrong), file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

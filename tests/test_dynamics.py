@@ -3,13 +3,14 @@ and the limit-prediction verifier."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from qsodyn import dynamics
-from qsodyn.catalog import operator_tensor
+from qsodyn.catalog import OperatorSpec, are_conjugate, operator_tensor
 from qsodyn.cli import main
 from qsodyn.dynamics import (
     ANALYZED_OPS,
@@ -32,6 +33,7 @@ from qsodyn.dynamics import (
     iterate,
     limit_prediction,
     omega_limit,
+    omega_limits,
     periodic2_exact,
     region_classify,
     regime,
@@ -583,6 +585,27 @@ class TestInvarianceProperties:
                 assert all(b >= a - 1e-14 for a, b in zip(firsts, firsts[1:]))
 
 
+class TestClassPartnersHaveRelabeledOrbits:
+    # Conjugate operators W = p(V) map relabeled starts onto relabeled orbits: W(p(x)) = p(V(x)).
+    # The relabeling comes from are_conjugate; the budgets are simulate's defaults.
+    @pytest.mark.parametrize("rep, partner, a", [
+        (13, 1, 0.2), (13, 1, 0.45), (13, 1, 0.5), (13, 1, 0.8), (4, 16, 0.5), (4, 16, 0.8)])
+    def test_outcomes_steps_and_limit_points_agree(self, rep, partner, a):
+        V, W = operator_tensor(rep, a), operator_tensor(partner, a)
+        p = are_conjugate(V, W)
+        assert p is not None
+        balanced = regime(a) == "balanced"
+        tol = dynamics.BALANCED_TOL if balanced else dynamics.DEFAULT_TOL
+        max_iter = dynamics.BALANCED_MAX_ITER if balanced else dynamics.DEFAULT_MAX_ITER
+        X = np.array([x.coords for x in sample(3, 11, 200)])
+        reps = omega_limits(V, X, tol, max_iter)
+        for r, s in zip(reps, omega_limits(W, p.permute_vector(X), tol, max_iter), strict=True):
+            assert (s.outcome.kind, s.steps) == (r.outcome.kind, r.steps)
+            assert len(s.outcome.points) == len(r.outcome.points)
+            for y, x in zip(s.outcome.points, r.outcome.points):
+                assert np.abs(y.coords - p.permute_vector(x.coords)).max() <= 1e-12
+
+
 class TestVerifier:
     def test_v28_generic_passes(self):
         (report,) = verify_predictions(28, (0.3,), seeds=20)
@@ -628,6 +651,11 @@ class TestRegime:
     def test_values(self):
         assert [regime(a) for a in (0.0, 0.2, 0.5, 0.8, 1.0)] == [
             "below", "below", "balanced", "above", "above"]
+
+    def test_only_one_half_itself_is_balanced(self):
+        # a near 1/2 has finite limit sets; only a == 0.5 gets the curve families
+        near = (math.nextafter(0.5, 0.0), 0.5 - 1e-12, 0.5, 0.5 + 1e-12, math.nextafter(0.5, 1.0))
+        assert [regime(a) for a in near] == ["below", "below", "balanced", "above", "above"]
 
     @pytest.mark.parametrize("a", [-0.1, 1.1, float("nan"), float("inf")])
     def test_rejects_outside_unit_interval(self, a):
@@ -1158,6 +1186,16 @@ _COUNT_SITES = {
     "fixed_points_numeric grid_n": (
         lambda v: fixed_points_numeric(operator_tensor(13, 0.2), grid_n=v), "grid_n", 10),
     "iterate n": (lambda v: iterate(operator_tensor(13, 0.2), E1, v), "n", 0),
+    "vertex m": (lambda v: vertex(1, v), "m", 1),
+}
+
+# Integer indices with an upper end: call, name in the message, low, high.
+_RANGE_SITES = {
+    "OperatorSpec case_one": (lambda v: OperatorSpec(v, 1, 0.3), "case_one", 1, 6),
+    "OperatorSpec case_two": (lambda v: OperatorSpec(1, v, 0.3), "case_two", 1, 6),
+    "OperatorSpec.from_id": (lambda v: OperatorSpec.from_id(v, 0.3), "operator id", 1, 36),
+    "operator_tensor": (lambda v: operator_tensor(v, 0.3), "operator id", 1, 36),
+    "vertex index": (lambda v: vertex(v, 3), "vertex index", 1, 3),
 }
 
 
@@ -1175,4 +1213,12 @@ class TestIntegerCounts:
         call, name, low = _COUNT_SITES[site]
         for bad in (True, False):
             with pytest.raises(ValueError, match=f"need an integer {name} >= {low}, got {bad}"):
+                call(bad)
+
+    @pytest.mark.parametrize("site", sorted(_RANGE_SITES))
+    def test_indices_off_the_integers_in_range_fail(self, site):
+        call, name, low, high = _RANGE_SITES[site]
+        for bad in (True, False, math.nan, math.inf, -math.inf, 2.5, "3", low - 1, high + 1):
+            message = f"{name} must be {low}..{high}, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 call(bad)

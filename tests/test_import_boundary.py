@@ -87,3 +87,28 @@ def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError):
         qsodyn.no_such_name  # noqa: B018
     assert not hasattr(qsodyn, "DEFAULT_TOL")  # a dynamics name outside __all__ stays in dynamics
+
+
+def test_public_names_resolve_from_their_home_modules():
+    # The numpy-free modules are searched first, so reading a structure name leaves numpy
+    # unloaded; with simplex or dynamics searched first, qsodyn.HeredityTensor would load it.
+    result = _child("""
+import json, sys
+import qsodyn
+from qsodyn import catalog, operators, permutations
+structure = [n for n in qsodyn.__all__
+             if any(hasattr(m, n) for m in (permutations, operators, catalog))]
+read = all(getattr(qsodyn, n) is not None for n in structure)
+numpy = "numpy" in sys.modules
+listed = set(qsodyn.__all__) <= set(dir(qsodyn))
+star = {}
+exec("from qsodyn import *", star)
+from qsodyn import dynamics, simplex
+homes = (permutations, operators, catalog, simplex, dynamics)
+bound = [n for n in qsodyn.__all__ if n in star and any(hasattr(m, n) for m in homes)
+         and all(star[n] is getattr(m, n) for m in homes if hasattr(m, n))]
+print(json.dumps({"structure": structure, "read": read, "numpy": numpy, "listed": listed,
+                  "bound": bound == qsodyn.__all__}))
+""")
+    assert {"Permutation", "HeredityTensor", "OperatorSpec"} <= set(result.pop("structure"))
+    assert result == {"read": True, "numpy": False, "listed": True, "bound": True}
