@@ -98,8 +98,8 @@ class PairPartition:
         all_pairs = {(i, j) for i in range(1, self.m + 1) for j in range(i + 1, self.m + 1)}
         union: set[tuple[int, int]] = set()
         for block in self.blocks:
-            if union & block:
-                raise ValueError("blocks overlap")
+            if union & block or not block:
+                raise ValueError("blocks overlap or one is empty")
             union |= block
         if union != all_pairs:
             raise ValueError("blocks do not cover the coupled pair set")

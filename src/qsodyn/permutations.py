@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .rules import require_count
 
 @dataclass(frozen=True)
 class Permutation:
@@ -14,8 +15,10 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(int(i) for i in self.image))
         m = len(self.image)
+        for i in self.image:  # numpy integers pass; 2.7, True and "2" do not
+            require_count("image entry", i, 1, m)
+        object.__setattr__(self, "image", tuple(map(int, self.image)))
         if sorted(self.image) != list(range(1, m + 1)):
             raise ValueError(f"not a permutation of 1..{m}: {self.image!r}")
 

@@ -58,6 +58,19 @@ MUTANTS = (
            "(permutations, operators, catalog, simplex, dynamics)",
            "(simplex, dynamics, permutations, operators, catalog)",
            ("tests/test_import_boundary.py",), "killed"),
+    Mutant("simulate checks the --x0 dimension", "src/qsodyn/cli.py",
+           '''        if args.x0.m != T.m:
+            raise UsageError(f"--x0 has {args.x0.m} coordinates, tensor expects {T.m}")
+''', "", ("tests/test_cli.py::TestSimulate",), "killed"),
+    Mutant("permutation entries are integers in range", "src/qsodyn/permutations.py",
+           '''        for i in self.image:  # numpy integers pass; 2.7, True and "2" do not
+            require_count("image entry", i, 1, m)
+        object.__setattr__(self, "image", tuple(map(int, self.image)))''',
+           '''        object.__setattr__(self, "image", tuple(int(i) for i in self.image))''',
+           ("tests/test_permutations.py",), "killed"),
+    Mutant("partition blocks are nonempty", "src/qsodyn/catalog.py",
+           "if union & block or not block:", "if union & block:",
+           ("tests/test_catalog.py::TestPartitions",), "killed"),
 )
 
 

@@ -63,6 +63,37 @@ class TestPartitions:
         with pytest.raises(ValueError):
             PairPartition(3, (f({(1, 2)}),))
 
+    def test_empty_block(self):
+        f = frozenset
+        with pytest.raises(ValueError, match="^blocks overlap or one is empty$"):
+            PairPartition(3, (f(), f({(1, 2), (1, 3), (2, 3)})))
+
+    def test_more_blocks_than_indices(self):
+        singletons = tuple(frozenset({(i, j)}) for i in range(1, 5) for j in range(i + 1, 5))
+        with pytest.raises(ValueError, match="^more blocks than indices$"):
+            PairPartition(4, singletons)
+
+    def test_printed_form(self):
+        assert str(CATALOG_PARTITION) == "{{(2,3)}, {(1,2), (1,3)}}"
+        assert [str(p) for p in pair_partitions()] == [
+            "{{(1,2)}, {(1,3)}, {(2,3)}}", "{{(2,3)}, {(1,2), (1,3)}}",
+            "{{(1,3)}, {(1,2), (2,3)}}", "{{(1,2)}, {(1,3), (2,3)}}", "{{(1,2), (1,3), (2,3)}}"]
+
+
+# A valid tensor on the 1-simplex, against the catalog's m = 3.
+M2 = HeredityTensor.from_rows(2, {(1, 1): (1.0, 0.0), (1, 2): (0.5, 0.5), (2, 2): (0.0, 1.0)})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: partition_structure_check(M2, CATALOG_PARTITION), "partition size mismatch"),
+    (lambda: conjugate(operator_tensor(13, 0.3), Permutation((2, 1))), "permutation size mismatch"),
+    (lambda: coefficient_distance(M2, operator_tensor(13, 0.3)), "dimension mismatch"),
+    (lambda: are_conjugate(M2, operator_tensor(13, 0.3)), "dimension mismatch"),
+], ids=["partition_structure_check", "conjugate", "coefficient_distance", "are_conjugate"])
+def test_sizes_must_agree(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
 
 class TestBuildOperator:
     def test_id_mapping_round_trip(self):

@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -153,6 +155,16 @@ class TestSimulate:
     def test_requires_one_source(self, capsys):
         code, _, _ = _run(capsys, "simulate", "--x0", "0.3,0.4,0.3")
         assert code == 1
+
+    @pytest.mark.parametrize("starts", [(), ("--x0", "0.3,0.3,0.4", "--seed", "1")],
+                             ids=["neither", "both"])
+    def test_needs_exactly_one_start_source(self, capsys, starts):
+        result = _run(capsys, "simulate", "--op", "13", "--a", "0.3", *starts)
+        assert result == (1, "", "error: need exactly one of --x0 or --seed\n")
+
+    def test_x0_of_another_dimension(self, capsys):
+        result = _run(capsys, "simulate", "--op", "13", "--a", "0.3", "--x0", "0.5,0.5")
+        assert result == (1, "", "error: --x0 has 2 coordinates, tensor expects 3\n")
 
     def test_bad_x0(self, capsys):
         code, _, err = _run(capsys, "simulate", "--op", "1", "--a", "0.3",
@@ -698,3 +710,11 @@ class TestConsoleEntry:
             gc.unfreeze()  # run() freezes the collector for the exit it expects
         assert exit_.value.code == code
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_module_runs_as_a_script(self, capsys):
+        # `python -m qsodyn.cli` reaches run() through the module's __main__ guard.
+        argv = ("tensor", "--op", "13", "--a", "0.3")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-m", "qsodyn.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == _run(capsys, *argv)

@@ -4,6 +4,7 @@ and the limit-prediction verifier."""
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ from qsodyn.simplex import (
 
 E1, E2, E3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
 GOLDEN_CONJ = (3 - math.sqrt(5)) / 2  # 0.381966...
+# A valid tensor on the 1-simplex, for the guards that need m = 3.
+M2 = HeredityTensor.from_rows(2, {(1, 1): (1.0, 0.0), (1, 2): (0.5, 0.5), (2, 2): (0.0, 1.0)})
 
 
 def _hausdorff_l1(points_a, points_b):
@@ -109,6 +112,43 @@ class TestScalarMap:
     def test_report_rejects_bad_budget(self, kwargs):
         with pytest.raises(ValueError, match="tol" if "tol" in kwargs else "max_iter"):
             scalar_map_report(0.2, **kwargs)
+
+
+HALF = Fraction(1, 2)
+# Exact parameters: the ends and the middle of [0, 1], and points just off 1/2 (the floats
+# next to 0.5, where a float grid sees no drift at all, and 1/2 + 1e-12).
+SPECIAL_A = (Fraction(0), HALF, Fraction(1), Fraction(math.nextafter(0.5, 0.0)),
+             Fraction(math.nextafter(0.5, 1.0)), HALF + Fraction(1, 10 ** 12))
+UNIT_FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9)
+
+
+def _check_scalar_lemmas(a, x, y):
+    """The facts the scalar map's predictions rest on, exactly: f fixes 0 and 1, f is
+    non-decreasing on [0, 1], and f moves each interior x toward 1 when a > 1/2 and
+    toward 0 when a < 1/2."""
+    def f(u):
+        return scalar_map(u, a)
+
+    assert f(Fraction(0)) == 0 and f(Fraction(1)) == 1
+    slope = 1 + (2 * a - 1) * (1 - x - y)  # the chord slope; f'(x) = 1 + (2a - 1)(1 - 2x) at y = x
+    assert f(y) - f(x) == (y - x) * slope and slope >= 0
+    drift = (a - HALF) * (f(x) - x)
+    assert drift == 2 * (a - HALF) ** 2 * x * (1 - x)
+    assert (drift > 0) == (a != HALF and 0 < x < 1)
+
+
+class TestScalarMapLemmas:
+    @pytest.mark.parametrize("a", SPECIAL_A, ids=str)
+    @given(x=UNIT_FRACTIONS, y=UNIT_FRACTIONS)
+    @example(x=Fraction(0), y=Fraction(0))
+    @example(x=Fraction(1), y=Fraction(1))
+    @example(x=Fraction(5e-324), y=HALF)
+    def test_at_special_parameters(self, a, x, y):
+        _check_scalar_lemmas(a, x, y)
+
+    @given(a=UNIT_FRACTIONS, x=UNIT_FRACTIONS, y=UNIT_FRACTIONS)
+    def test_on_a_parameter_sweep(self, a, x, y):
+        _check_scalar_lemmas(a, x, y)
 
 
 class TestIterate:
@@ -219,6 +259,11 @@ class TestClosedForms:
                 assert abs(residual) <= 1e-12
                 assert 0.0 <= h <= 1.0
         assert slice_cycle_heights(0.0) == (0.0, 1.0)
+
+    def test_cycle_heights_reject_a_slice_past_the_sup(self):
+        message = f"slice parameter 0.2 outside [0, {CYCLE_PARAM_SUP}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            slice_cycle_heights(0.2)
 
     def test_cycle_points_are_two_periodic(self):
         T = operator_tensor(4, 0.5)
@@ -505,6 +550,11 @@ class TestNumericOracle:
         with pytest.raises(ValueError):
             fixed_points_numeric(operator_tensor(4, 0.3), grid_n=5)
 
+    def test_rejects_a_tensor_off_the_2_simplex(self):
+        message = "the oracle is implemented for the 2-simplex (m = 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fixed_points_numeric(M2)
+
     @pytest.mark.parametrize("refine_tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_refine_tol_outside_open_positive_range(self, refine_tol):
         with pytest.raises(ValueError, match="refine_tol"):
@@ -528,6 +578,12 @@ class TestRegions:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             region_classify(SimplexPoint((0.5, 0.5)))
+
+    def test_labels(self):
+        starts = ((0.0, 1.0, 0.0), (0.0, 0.4, 0.6), (0.3, 0.4, 0.3), (0.2, 0.3, 0.5),
+                  (0.5, 0.3, 0.2))
+        assert [region_classify(SimplexPoint(x)).label() for x in starts] == [
+            "vertex e2", "edge x1 = 0", "line x1 = x3", "half x1 <= x3", "half x1 >= x3"]
 
 
 class TestPredictions:
@@ -563,6 +619,10 @@ class TestPredictions:
         assert limit_prediction(28, 0.3, SimplexPoint((0.0, 0.4, 0.6))).kind == "cycle"
         assert limit_prediction(28, 0.3, SimplexPoint((0.2, 0.4, 0.4))).points[0] == E1
         assert limit_prediction(28, 0.5, SimplexPoint((0.2, 0.4, 0.4))).points[0] == E1
+
+    def test_rejects_a_point_off_the_2_simplex(self):
+        with pytest.raises(ValueError, match="^predictions are for the 2-simplex$"):
+            limit_prediction(13, 0.3, SimplexPoint((0.5, 0.5)))
 
 
 class TestInvarianceProperties:
@@ -699,6 +759,30 @@ class TestLimitTable:
         holding = [b.label for b in table.branches if b.holds(x.coords)]
         assert len(holding) == 1
         assert limit_prediction(op_id, a, x).case.startswith(holding[0] + " -> ")
+
+    @pytest.mark.parametrize("op_id,side", sorted(dynamics._TABLES))
+    def test_every_entry_covers_every_start_it_does_not_exclude(self, op_id, side):
+        # limit_prediction takes the first branch that holds, and has no case for a start
+        # that none holds: such a start must lie near an exact set, which rejects it first.
+        rng = np.random.default_rng(op_id)
+        near_x1_edge = [(x1, (1.0 - x1) * v, (1.0 - x1) * (1.0 - v))
+                        for x1 in (0.0, 5e-324, 1e-13, ZERO_TOL) for v in rng.random(25)]
+        X = np.vstack([sample_with_rng(3, rng, 500), np.eye(3), near_x1_edge,
+                       *(_edge_points(zero, rng.random(100)) for zero in range(3))])
+        for a in {"below": (0.2, 0.45), "balanced": (0.5,), "above": (0.55, 0.8)}[side]:
+            table = _limit_table(op_id, a)
+            if not table.branches:  # operator 4 below 1/2: limit_prediction raises first
+                continue
+            held = np.any([branch.holds(X) for branch in table.branches], axis=0)
+            assert (held | table.excluded(X)).all()
+
+    @pytest.mark.parametrize("op_id", (25, 28))
+    @pytest.mark.parametrize("x1", (0.0, 5e-324, 1e-13, ZERO_TOL))
+    def test_balanced_edge_starts_outside_every_branch_are_excluded(self, op_id, x1):
+        x = SimplexPoint((x1, 0.3, 0.7 - x1))
+        assert not any(branch.holds(x.coords) for branch in _limit_table(op_id, 0.5).branches)
+        with pytest.raises(ValueError, match="excluded"):
+            limit_prediction(op_id, 0.5, x)
 
     @pytest.mark.parametrize("op_id,a", PREDICTED)
     def test_verification_draws_land_in_their_case(self, op_id, a):
@@ -1070,6 +1154,15 @@ class TestCaseColumns:
         assert CaseResult("c", 1e-6, 10, (first, second)).passed
         with pytest.raises(ValueError):
             CaseResult("c", 1e-6, 10, (first, dataclasses.replace(second, **change)))
+
+    def test_rejects_columns_of_different_lengths(self):
+        with pytest.raises(ValueError, match="^the columns of a case must share one length$"):
+            CaseResult("c", 1e-6, 10, x0=[[1, 0, 0]], steps=[])
+
+    def test_equal_cases_hash_equal(self):
+        first = PointVerdict(0, (1.0, 0.0, 0.0), ((1.0, 0.0, 0.0),), "point", 3, 0.0, True)
+        one, two = (CaseResult("c", 1e-6, 10, (first,)) for _ in range(2))
+        assert one is not two and hash(one) == hash(two) and len({one, two}) == 1
 
     def test_cli_verify_builds_no_verdicts(self, capsys, monkeypatch):
         argv = ["verify", "--op", "28", "--a", "0.3", "--seeds", "200", "--seed", "7"]

@@ -89,6 +89,15 @@ def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(qsodyn, "DEFAULT_TOL")  # a dynamics name outside __all__ stays in dynamics
 
 
+def test_public_names_and_dir_in_this_process():
+    # The reads of the child-process tests, here in-process, where tests/linecov.py sees them.
+    import qsodyn
+    from qsodyn import catalog, dynamics
+    assert qsodyn.CATALOG_PARTITION is catalog.CATALOG_PARTITION
+    assert qsodyn.limit_prediction is dynamics.limit_prediction
+    assert set(qsodyn.__all__) <= set(dir(qsodyn))
+
+
 def test_public_names_resolve_from_their_home_modules():
     # The numpy-free modules are searched first, so reading a structure name leaves numpy
     # unloaded; with simplex or dynamics searched first, qsodyn.HeredityTensor would load it.

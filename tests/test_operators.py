@@ -1,6 +1,7 @@
 """Tests for heredity tensors: application, validation, structure detection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ class TestConstruction:
         P = T.table
         assert np.array_equal(P.transpose(1, 0, 2), P)
 
+    @pytest.mark.parametrize("row", [0.5, (0.5, 0.5, 0.0)], ids=["scalar", "three entries"])
+    def test_from_rows_rejects_a_row_of_another_length(self, row):
+        rows = {(1, 1): (1.0, 0.0), (1, 2): row, (2, 2): (0.0, 1.0)}
+        with pytest.raises(ValueError, match=re.escape("row (1, 2) has wrong length")):
+            HeredityTensor.from_rows(2, rows)
+
     def test_from_rows_missing(self):
         with pytest.raises(ValueError):
             HeredityTensor.from_rows(3, {(1, 1): (1, 0, 0)})
@@ -57,6 +64,12 @@ class TestConstruction:
         assert np.signbit(U.table).any()
         assert T == U
         assert len({T, U}) == 1
+
+    def test_repr_and_equality_with_other_types(self):
+        T = operator_tensor(13, 0.3)
+        assert repr(T) == "HeredityTensor(m=3)"
+        assert T.__eq__(T.coeffs) is NotImplemented
+        assert T != T.coeffs and T != "HeredityTensor(m=3)"
 
     def test_table_built_once_read_only(self):
         T = operator_tensor(13, 0.3)
@@ -314,6 +327,10 @@ class TestPermutedStructure:
             w = apply_array(W, x.coords, renormalize=False)
             for k in (1, 2, 3):
                 assert w[k - 1] == pytest.approx(v[tau(k) - 1], abs=1e-15)
+
+    def test_relabel_outputs_needs_a_permutation_of_the_same_size(self):
+        with pytest.raises(ValueError, match="^permutation size mismatch$"):
+            relabel_outputs(operator_tensor(28, 0.3), Permutation((2, 1)))
 
     def test_structure_labels(self):
         assert structure_label(operator_tensor(25, 0.3))["kind"] == "volterra"

@@ -1,5 +1,8 @@
 """Tests for the permutation helper type."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,26 @@ def test_invalid():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((0, 1, 2))
+
+
+@pytest.mark.parametrize("image,bad", [
+    ((1, 2.7), 2.7), ((True, 2), True), (("2", "1"), "2"), ((1, math.inf), math.inf),
+    ((1, math.nan), math.nan), ((1.0, 2.0), 1.0), ((0, 1), 0), ((1, 3), 3)], ids=repr)
+def test_entries_must_be_integers_in_range(image, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'image entry must be 1..2, got {bad!r}')}$"):
+        Permutation(image)
+
+
+def test_numpy_integer_entries_become_ints():
+    p = Permutation(tuple(np.array([2, 3, 1])))
+    assert p.image == (2, 3, 1) and all(type(i) is int for i in p.image)
+
+
+def test_sizes_must_agree():
+    with pytest.raises(ValueError, match="^size mismatch$"):
+        Permutation((2, 1)).compose(Permutation.identity(3))
+    with pytest.raises(ValueError, match="^size mismatch$"):
+        Permutation((2, 1)).permute_vector([0.2, 0.3, 0.5])
 
 
 def test_inverse_and_compose():

@@ -54,6 +54,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimplexPoint(coords)
 
+    def test_repr_hash_and_equality_with_other_types(self):
+        p = SimplexPoint((1 / 3, 2 / 3))
+        assert repr(p) == "SimplexPoint((0.333333, 0.666667))"
+        assert repr(SimplexPoint((0.25, 0.0, 0.75))) == "SimplexPoint((0.25, 0, 0.75))"
+        assert hash(p) == hash(p.as_tuple()) == hash(SimplexPoint(p.coords))
+        assert len({p, SimplexPoint(p.coords)}) == 1
+        assert p.__eq__(p.as_tuple()) is NotImplemented
+        assert p != p.as_tuple() and p != list(p)
+
     def test_immutable(self):
         p = SimplexPoint((0.5, 0.5))
         with pytest.raises(ValueError):
