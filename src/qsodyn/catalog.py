@@ -95,6 +95,7 @@ class PairPartition:
     blocks: tuple[frozenset[tuple[int, int]], ...]
 
     def __post_init__(self):
+        require_count("m", self.m, 1)
         all_pairs = {(i, j) for i in range(1, self.m + 1) for j in range(i + 1, self.m + 1)}
         union: set[tuple[int, int]] = set()
         for block in self.blocks:
@@ -234,7 +235,6 @@ def _within(P: Sequence[float], Q: Sequence[float], tol: float) -> bool:
 # The classifier's match tolerance. Coefficients are 0, 1, a or 1 - a, so a link that holds
 # at no other parameter holds within this tolerance only within it of 0, 1/2 or 1.
 MATCH_TOL, DEGENERATE_PARAMS = 1e-12, (0.0, 0.5, 1.0)
-_check_match_tol = require_tol  # its former name here, which callers still import
 
 
 def are_conjugate(T1: HeredityTensor, T2: HeredityTensor, tol: float = MATCH_TOL) -> Optional[Permutation]:

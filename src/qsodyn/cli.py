@@ -146,7 +146,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _emit(text: str, out: Optional[Path]) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+    text += "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -314,5 +314,5 @@ def run() -> None:
     sys.exit(code)
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     run()

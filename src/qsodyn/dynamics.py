@@ -46,11 +46,8 @@ DEFAULT_MAX_ITER = 10 ** 5
 BALANCED_TOL = 1e-6
 BALANCED_MAX_ITER = 10 ** 6
 
-# Verification defaults by prediction type (vertex targets vs curve targets).
-VERIFY_POINT_TOL = 1e-6
-VERIFY_POINT_MAX_ITER = 10 ** 5
-VERIFY_CURVE_TOL = 1e-4
-VERIFY_CURVE_MAX_ITER = 10 ** 6
+# Verification defaults (tol, max_iter), keyed by whether the target is a curve family.
+VERIFY_BUDGET = {False: (1e-6, 10 ** 5), True: (1e-4, 10 ** 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +717,7 @@ def region_classify(x: SimplexPoint, tol: float = ZERO_TOL) -> RegionTag:
     coords = x.coords
     zeros = [i + 1 for i in range(3) if coords[i] <= tol]
     if len(zeros) >= 2:
-        live = [i + 1 for i in range(3) if coords[i] > tol]
-        return RegionTag("vertex", live[0])
+        return RegionTag("vertex", int(np.argmax(coords)) + 1)
     if len(zeros) == 1:
         return RegionTag("edge", zeros[0])
     if abs(coords[0] - coords[2]) <= tol:
@@ -892,7 +888,7 @@ def verify_predictions(op_id: int, a_values: Sequence[float], seeds: int = 100,
     outside EXCLUSION_RADIUS of the exact fixed/2-periodic sets, then iterates
     them in a batch until each is within the tolerance of its predicted limit
     or the budget runs out. Explicit tol / max_iter apply to every case;
-    otherwise vertex targets use (1e-6, 1e5) and continuum targets (1e-4, 1e6).
+    otherwise VERIFY_BUDGET gives vertex targets (1e-6, 1e5), continuum ones (1e-4, 1e6).
     """
     _require_analyzed(op_id)
     require_count("seeds", seeds, 1)
@@ -909,10 +905,9 @@ def verify_predictions(op_id: int, a_values: Sequence[float], seeds: int = 100,
             rng = np.random.default_rng([base_seed, op_id, case_idx, int(round(a * 10 ** 9))])
             X = table.starts(branch, rng, seeds)
             targets = simplex_rows(branch.target_coords(simplex_rows(X)))
-            case_tol = tol if tol is not None else (
-                VERIFY_CURVE_TOL if branch.continuum else VERIFY_POINT_TOL)
-            case_max = max_iter if max_iter is not None else (
-                VERIFY_CURVE_MAX_ITER if branch.continuum else VERIFY_POINT_MAX_ITER)
+            case_tol, case_max = VERIFY_BUDGET[branch.continuum]
+            case_tol = case_tol if tol is None else tol
+            case_max = case_max if max_iter is None else max_iter
             steps, dists = _run_case(T, X, branch.kind, targets, case_tol, case_max)
             cases.append(CaseResult(branch.label, case_tol, case_max, kind=branch.kind, x0=X,
                                     predicted=targets, steps=steps, distance=dists))

@@ -76,14 +76,6 @@ def dumps(obj) -> str:
     return _render(obj, "\n", {})
 
 
-def _floats(values) -> str:
-    """Floats joined by ", "; the .17g texts of inf, -inf and nan are the only ones with an n."""
-    text = ", ".join(map(_17G, values))
-    if "n" in text:
-        raise ValueError(_NON_FINITE)
-    return text
-
-
 def _render(obj, pad: str, keys: dict[str, str]) -> str:
     """obj as JSON text. pad is the line break and indent of obj's last line;
     keys caches the quoted text of each dict key."""
@@ -91,16 +83,16 @@ def _render(obj, pad: str, keys: dict[str, str]) -> str:
     if kind not in _TYPES:  # a subclass such as numpy.float64 follows its base type's rule
         kind = next((base for base in _TYPES if isinstance(obj, base)), kind)
     if kind is float:
-        return _floats((obj,))
+        text = _17G(obj)
+        if "n" in text:  # the .17g texts of inf, -inf and nan are the only ones with an n
+            raise ValueError(_NON_FINITE)
+        return text
     if kind is int:
         return str(obj)
     if kind is dict:
         _quote_keys(obj, keys)
         heads, values, brackets = [keys[key] for key in obj], obj.values(), "{}"
     elif kind is list or kind is tuple:
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            return "[" + _floats(obj) + "]"
         if obj and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join([_render(v, pad, keys) for v in obj]) + "]"
         heads, values, brackets = [""] * len(obj), obj, "[]"

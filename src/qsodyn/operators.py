@@ -19,14 +19,11 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, eq
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import simplex
 from .permutations import Permutation
 from .rules import ZERO_TOL, json_floats, read_json, require_count, require_tol
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class HeredityTensor:

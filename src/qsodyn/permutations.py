@@ -69,9 +69,11 @@ class Permutation:
 
     @staticmethod
     def identity(m: int) -> "Permutation":
+        require_count("m", m, 0)
         return Permutation(tuple(range(1, m + 1)))
 
     @staticmethod
     def all_perms(m: int) -> list["Permutation"]:
         """All m! permutations in lexicographic order of their image tuples."""
+        require_count("m", m, 0)
         return [Permutation(p) for p in itertools.permutations(range(1, m + 1))]

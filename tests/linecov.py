@@ -1,17 +1,17 @@
 """Line coverage of src/qsodyn under the tier-1 tests, with a table of lines allowed to go unrun.
 
-Run from anywhere: `python tests/linecov.py`. Each tests/test_*.py runs in its own
-`python -m pytest -q -p no:cacheprovider -p linecov <file>` process, which loads this file
-as a plugin. The plugin sets a `sys.settrace` line tracer when it is imported and sets it
-again before each test: a RecursionError raised inside the trace function, as the
-deep-nesting JSON tests raise one, makes CPython switch tracing off for the rest of the
-process. Lines run only in the child processes that tests start (CLI runs as scripts) are
-not seen.
+Run from anywhere: `python tests/linecov.py`. The tests under tests/ run in one
+`python -m pytest -q -p no:cacheprovider -p linecov tests` process, as tier-1 runs them,
+which loads this file as a plugin. The plugin sets a `sys.settrace` line tracer when it is
+imported and sets it again before each test: a RecursionError raised inside the trace
+function, as the deep-nesting JSON tests raise one, makes CPython switch tracing off until
+the next test. Lines run only in the child processes that tests start (CLI runs as
+scripts) are not seen.
 
 The executable lines of each src/qsodyn/*.py are the first lines of its `ast` statements,
 docstrings excepted. The script prints every executable line that no test ran and that
-ALLOWED does not name, every ALLOWED line that did run, and every pytest run that failed,
-and exits 1 if there is any. It writes only to a temporary directory.
+ALLOWED does not name, every ALLOWED line that did run, and a failing pytest run, and
+exits 1 if there is any. It writes only to a temporary directory.
 
 The file name does not match test_*.py, so the tier-1 suite does not collect it.
 """
@@ -32,13 +32,7 @@ PACKAGE = ROOT / "src" / "qsodyn"
 TIMEOUT_S = 1800
 
 #: (file in src/qsodyn, stripped source line) -> why no tier-1 test runs it in-process.
-ALLOWED = {
-    ("operators.py", "import numpy as np"):
-        "the TYPE_CHECKING import is read by type checkers only",
-    ("cli.py", "run()"):
-        "the __main__ call runs only when cli.py runs as a script, which "
-        "tests/test_cli.py::TestConsoleEntry::test_module_runs_as_a_script does in a child",
-}
+ALLOWED: dict[tuple[str, str], str] = {}
 
 # ---------------------------------------------------------------------------
 # The plugin, inside each pytest process
@@ -97,15 +91,15 @@ def executable_lines(path: Path) -> dict[int, str]:
         if isinstance(node, ast.stmt) and id(node) not in docstrings)}
 
 
-def run_tests(test_file: Path, tmp: Path) -> tuple[int, set[tuple[str, int]]]:
-    """pytest's exit code for one test file, and the (file name, line) pairs of src/qsodyn it
+def run_tests(tmp: Path) -> tuple[int, set[tuple[str, int]]]:
+    """pytest's exit code over tests/, and the (file name, line) pairs of src/qsodyn the tests
     ran. pytest runs in `tmp`, so the files it and its plugins write land there."""
-    out = tmp / f"{test_file.stem}.json"
+    out = tmp / "hits.json"
     env = dict(os.environ, QSODYN_LINECOV_OUT=str(out), PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "linecov",
-         "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"), str(test_file)],
+         "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"), str(ROOT / "tests")],
         cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     if done.returncode:
         print(done.stdout[-3000:], done.stderr[-3000:], sep="\n", file=sys.stderr)
@@ -115,15 +109,12 @@ def run_tests(test_file: Path, tmp: Path) -> tuple[int, set[tuple[str, int]]]:
 
 def main() -> int:
     problems = []
-    hits: set[tuple[str, int]] = set()
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="qsodyn-linecov-") as tmp:
-        for test_file in sorted((ROOT / "tests").glob("test_*.py")):
-            start = time.perf_counter()
-            code, ran = run_tests(test_file, Path(tmp))
-            hits |= ran
-            if code:
-                problems.append(f"pytest exited {code} on {test_file.name}")
-            print(f"{test_file.name}: {time.perf_counter() - start:.1f} s", flush=True)
+        code, hits = run_tests(Path(tmp))
+    if code:
+        problems.append(f"pytest exited {code}")
+    print(f"tests: {time.perf_counter() - start:.1f} s", flush=True)
     unused = dict(ALLOWED)
     for path in sorted(PACKAGE.glob("*.py")):
         for line, text in executable_lines(path).items():

@@ -71,6 +71,18 @@ MUTANTS = (
     Mutant("partition blocks are nonempty", "src/qsodyn/catalog.py",
            "if union & block or not block:", "if union & block:",
            ("tests/test_catalog.py::TestPartitions",), "killed"),
+    Mutant("verify budgets follow the target kind", "src/qsodyn/dynamics.py",
+           "VERIFY_BUDGET = {False: (1e-6, 10 ** 5), True: (1e-4, 10 ** 6)}",
+           "VERIFY_BUDGET = {True: (1e-6, 10 ** 5), False: (1e-4, 10 ** 6)}",
+           ("tests/test_cli.py::TestVerifyDigests",), "killed"),
+    Mutant("JSON refuses non-finite floats", "src/qsodyn/jsonio.py",
+           'if "n" in text:', "if False:", ("tests/test_jsonio.py",), "killed"),
+    Mutant("partition size is a count", "src/qsodyn/catalog.py",
+           '        require_count("m", self.m, 1)\n', "",
+           ("tests/test_dynamics.py::TestIntegerCounts",), "killed"),
+    Mutant("a wide-tolerance vertex is its largest coordinate", "src/qsodyn/dynamics.py",
+           "int(np.argmax(coords)) + 1", "int(np.argmin(coords)) + 1",
+           ("tests/test_dynamics.py::TestRegions",), "killed"),
 )
 
 

@@ -17,13 +17,12 @@ from qsodyn.catalog import (
     PairPartition,
     StructureReport,
     StructureViolation,
-    _check_match_tol,
     _coef,
     operator_tensor,
 )
 from qsodyn.operators import EllVolterraStructure, HeredityTensor, TensorValidation, Violation
 from qsodyn.permutations import Permutation
-from qsodyn.rules import ZERO_TOL
+from qsodyn.rules import ZERO_TOL, require_tol as _check_match_tol
 
 
 def validate(T: HeredityTensor, tol: float = ZERO_TOL) -> TensorValidation:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -718,3 +719,17 @@ class TestConsoleEntry:
         done = subprocess.run([sys.executable, "-m", "qsodyn.cli", *argv], env=env,
                               capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == _run(capsys, *argv)
+
+    @pytest.mark.filterwarnings("ignore:'qsodyn.cli' found in sys.modules:RuntimeWarning")
+    def test_main_guard_runs_in_process(self, capsys, monkeypatch):
+        # The same __main__ guard, run in this process: runpy executes cli.py's code again
+        # under the name __main__, so the guard calls run() and exits with main's code.
+        argv = ("tensor", "--op", "13", "--a", "0.3")
+        monkeypatch.setattr(sys, "argv", ["qsodyn", *argv])
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                runpy.run_module("qsodyn.cli", run_name="__main__")
+        finally:
+            gc.unfreeze()  # run() freezes the collector for the exit it expects
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == _run(capsys, *argv)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qsodyn import dynamics
-from qsodyn.catalog import OperatorSpec, are_conjugate, operator_tensor
+from qsodyn.catalog import OperatorSpec, PairPartition, are_conjugate, operator_tensor
 from qsodyn.cli import main
 from qsodyn.dynamics import (
     ANALYZED_OPS,
@@ -47,6 +47,7 @@ from qsodyn.dynamics import (
 )
 from qsodyn.jsonio import dumps
 from qsodyn.operators import HeredityTensor, apply, apply_array
+from qsodyn.permutations import Permutation
 from qsodyn.simplex import (
     ZERO_TOL, SimplexPoint, l1_distance, sample, sample_with_rng, simplex_rows, vertex)
 
@@ -584,6 +585,18 @@ class TestRegions:
                   (0.5, 0.3, 0.2))
         assert [region_classify(SimplexPoint(x)).label() for x in starts] == [
             "vertex e2", "edge x1 = 0", "line x1 = x3", "half x1 <= x3", "half x1 >= x3"]
+
+    @pytest.mark.parametrize("coords,tol,index", [
+        ((0.33, 0.345, 0.325), 0.35, 2),
+        ((0.25, 0.3, 0.45), 0.5, 3),
+        ((1 / 3, 1 / 3, 1 / 3), 0.5, 1),  # a tie goes to the first coordinate
+        ((0.55, 0.25, 0.2), 0.6, 1),
+    ])
+    def test_wide_tolerance_names_the_largest_coordinate(self, coords, tol, index):
+        # Every coordinate is within tol of 0, so no coordinate is live; the point is
+        # still a vertex region, named by its largest coordinate.
+        tag = region_classify(SimplexPoint(coords), tol=tol)
+        assert (tag.kind, tag.index) == ("vertex", index)
 
 
 class TestPredictions:
@@ -1280,6 +1293,9 @@ _COUNT_SITES = {
         lambda v: fixed_points_numeric(operator_tensor(13, 0.2), grid_n=v), "grid_n", 10),
     "iterate n": (lambda v: iterate(operator_tensor(13, 0.2), E1, v), "n", 0),
     "vertex m": (lambda v: vertex(1, v), "m", 1),
+    "PairPartition m": (lambda v: PairPartition(v, ()), "m", 1),
+    "Permutation.identity m": (Permutation.identity, "m", 0),
+    "Permutation.all_perms m": (Permutation.all_perms, "m", 0),
 }
 
 # Integer indices with an upper end: call, name in the message, low, high.
