@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .operators import HeredityTensor
 from .permutations import Permutation
-from .rules import ZERO_TOL, require_count, require_tol
+from .rules import ZERO_TOL, require_count, require_tol, require_within
 
 #: Catalog ids whose limit behavior has closed-form predictions (in `dynamics`).
 ANALYZED_OPS = (4, 13, 25, 28)
@@ -56,8 +56,7 @@ class OperatorSpec:
     def __post_init__(self):
         for name in ("case_one", "case_two"):
             require_count(name, getattr(self, name), 1, 6)
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"parameter a must lie in [0, 1], got {self.a}")
+        require_within("parameter a", self.a, 0, 1)
         object.__setattr__(self, "a", self.a + 0.0)  # -0.0 is 0.0, or its tensor prints -0
 
     @property

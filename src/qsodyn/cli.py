@@ -239,6 +239,8 @@ def _cmd_simulate(args) -> int:
             raise UsageError("CSV export needs exactly one trajectory")
         if args.out is None:
             raise UsageError("CSV export needs --out to name the files")
+        if T.m != 3:
+            raise UsageError(f"CSV export needs a tensor with m = 3, got m = {T.m}")
 
     reports = dynamics.omega_limits(T, [p.coords for p in points], tol=tol, max_iter=max_iter)
     payload = {
@@ -258,12 +260,9 @@ _VERIFY_DEFAULT_A = {13: (0.2, 0.5, 0.8), 4: (0.5, 0.8), 28: (0.3, 0.5), 25: (0.
 
 def _cmd_verify(args) -> int:
     a_values = _VERIFY_DEFAULT_A[args.op] if args.a is None else args.a
-    try:
-        reports = dynamics.verify_predictions(
-            args.op, a_values, seeds=args.seeds, tol=args.tol,
-            max_iter=args.max_iter, base_seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    reports = dynamics.verify_predictions(
+        args.op, a_values, seeds=args.seeds, tol=args.tol,
+        max_iter=args.max_iter, base_seed=args.seed)
     payload = {
         "op": args.op,
         "passed": all(r.passed for r in reports),
@@ -302,7 +301,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # a library refusal reads like a usage error
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

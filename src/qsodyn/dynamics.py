@@ -26,7 +26,7 @@ import numpy as np
 from .operators import HeredityTensor, apply, apply_array
 from .catalog import ANALYZED_OPS, operator_tensor
 from .jsonio import Records
-from .rules import ZERO_TOL, require_count, require_tol
+from .rules import ZERO_TOL, require_count, require_positive, require_tol, require_within
 from .simplex import SimplexPoint, sample_with_rng, simplex_rows, vertex
 
 #: Supremum of the slice parameter carrying genuine 2-cycles for operator 4
@@ -60,15 +60,9 @@ def scalar_map(x: float, a: float) -> float:
     For a < 1/2 every interior orbit decreases to 0, for a > 1/2 it increases
     to 1; a = 1/2 gives the identity.
     """
-    _require_unit("argument", x)
-    _require_unit("parameter", a)
+    require_within("argument", x, 0, 1)
+    require_within("parameter", a, 0, 1)
     return _scalar_step(x, a)
-
-
-def _require_unit(name: str, value: float) -> None:
-    """The one rule for values in [0, 1]; NaN fails too."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} {value} outside [0, 1]")
 
 
 def _scalar_step(x, a: float):
@@ -78,8 +72,7 @@ def _scalar_step(x, a: float):
 
 def _check_budget(tol: float, max_iter: int) -> None:
     """The one rule for orbit budgets: 0 < tol < inf and an integer max_iter >= 1."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    require_positive("tol", tol)
     require_count("max_iter", max_iter, 1)
 
 
@@ -92,7 +85,7 @@ def regime(a: float) -> str:
     that compares a with 1/2 (exactly); it rejects a outside [0, 1],
     NaN included.
     """
-    _require_unit("parameter", a)
+    require_within("parameter", a, 0, 1)
     if a == 0.5:
         return "balanced"
     return "below" if a < 0.5 else "above"
@@ -264,7 +257,7 @@ def slice_fixed_height(b: float) -> float:
     for b in [0, 1]. Applies to operator 4 at a = 1/2, whose fixed points form
     the curve (b, h, 1 - b - h) with h this value.
     """
-    _require_unit("slice parameter", b)
+    require_within("slice parameter", b, 0, 1)
     return float(_fixed_heights(b))
 
 
@@ -297,7 +290,7 @@ def edge_fixed_height(a: float) -> float:
     cancellation-free form 2 / (3 - 2a + sqrt(4 + (2a - 1)^2)); at a = 1/2 it
     continuously takes the value 1/2.
     """
-    _require_unit("parameter", a)
+    require_within("parameter", a, 0, 1)
     return 2.0 / (3.0 - 2.0 * a + math.sqrt(4.0 + (2.0 * a - 1.0) ** 2))
 
 
@@ -321,8 +314,7 @@ class CurveFamily:
     straight: bool = False
 
     def point_at(self, t: float) -> SimplexPoint:
-        if not self.lo <= t <= self.hi:
-            raise ValueError(f"parameter {t} outside [{self.lo}, {self.hi}]")
+        require_within("parameter", t, self.lo, self.hi)
         return SimplexPoint(self.coords(np.array([t]))[0])
 
     def sample(self, n: int) -> list[SimplexPoint]:
@@ -627,8 +619,7 @@ def fixed_points_numeric(
     if T.m != 3:
         raise ValueError("the oracle is implemented for the 2-simplex (m = 3)")
     require_count("grid_n", grid_n, 10)
-    if not 0.0 < refine_tol < math.inf:
-        raise ValueError("refine_tol must be positive and finite")
+    require_positive("refine_tol", refine_tol)
 
     r = np.arange(grid_n + 1)
     i, j = np.nonzero(np.add.outer(r, r) <= grid_n)
@@ -809,11 +800,13 @@ class CaseResult:
             x0, predicted, distance = ([getattr(v, name) for v in verdicts]
                                        for name in ("x0", "predicted", "distance"))
             steps = [-1 if v.steps is None else v.steps for v in verdicts]
-        columns = {name: _frozen(values, dtype) for name, values, dtype in (
+        columns = {name: np.asarray(values, dtype=dtype).view() for name, values, dtype in (
             ("x0", x0, np.float64), ("predicted", predicted, np.float64),
             ("steps", steps, np.int64), ("distance", distance, np.float64))}
         if len(set(map(len, columns.values()))) != 1:
             raise ValueError("the columns of a case must share one length")
+        for column in columns.values():  # views, so the caller's arrays stay writable
+            column.flags.writeable = False
         for name, value in dict(label=label, tol=tol, max_iter=max_iter, kind=kind,
                                 **columns).items():
             object.__setattr__(self, name, value)
@@ -846,13 +839,6 @@ class CaseResult:
 
     def _key(self) -> tuple:
         return self.label, self.tol, self.max_iter, self.verdicts
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype (a view; the caller's array stays writable)."""
-    arr = np.asarray(values, dtype=dtype).view()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)

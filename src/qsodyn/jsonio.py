@@ -154,8 +154,6 @@ def _column(values, pad: str, keys: dict[str, str]):
         return map(_quote, values)
     if kinds <= {bool, type(None)}:
         return map(_CONSTANTS.__getitem__, values)
-    if kinds == {int, type(None)}:
-        return ["null" if value is None else str(value) for value in values]
     return [_render(value, pad, keys) for value in values]
 
 

@@ -1,4 +1,4 @@
-"""Rules every layer shares, with no numpy: zero threshold, tolerances, counts, JSON numbers."""
+"""Rules every layer shares, with no numpy: zero threshold, tolerances, intervals, counts, JSON."""
 
 from __future__ import annotations
 
@@ -16,6 +16,18 @@ def require_tol(tol: float) -> None:
     """The one rule for tolerances: finite and >= 0 (0 asks for exact comparisons)."""
     if not 0.0 <= tol < math.inf:  # also rejects NaN
         raise ValueError("tol must be finite and >= 0")
+
+
+def require_within(name: str, value: float, lo: float, hi: float) -> None:
+    """The one rule for values in a closed interval [lo, hi]; NaN fails too."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} outside [{lo}, {hi}]")
+
+
+def require_positive(name: str, value: float) -> None:
+    """The one rule for stopping tolerances: 0 < value < inf; NaN fails too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def require_count(name: str, value, low: int, high: int | None = None) -> None:

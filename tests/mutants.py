@@ -83,6 +83,19 @@ MUTANTS = (
     Mutant("a wide-tolerance vertex is its largest coordinate", "src/qsodyn/dynamics.py",
            "int(np.argmax(coords)) + 1", "int(np.argmin(coords)) + 1",
            ("tests/test_dynamics.py::TestRegions",), "killed"),
+    Mutant("the interval rule includes its ends", "src/qsodyn/rules.py",
+           "if not lo <= value <= hi:", "if not lo < value <= hi:",
+           ("tests/test_cli.py::TestNegativeZeroParameter",), "killed"),
+    Mutant("the positive rule rejects 0", "src/qsodyn/rules.py",
+           "if not 0.0 < value < math.inf:", "if not 0.0 <= value < math.inf:",
+           ("tests/test_dynamics.py",), "killed"),
+    Mutant("main reports library refusals as errors", "src/qsodyn/cli.py",
+           "except (UsageError, ValueError) as exc:", "except UsageError as exc:",
+           ("tests/test_cli.py",), "killed"),
+    Mutant("CSV export needs m = 3", "src/qsodyn/cli.py",
+           '''        if T.m != 3:
+            raise UsageError(f"CSV export needs a tensor with m = 3, got m = {T.m}")
+''', "", ("tests/test_cli.py::TestSimulate",), "killed"),
 )
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsodyn.catalog import operator_tensor
 from qsodyn.cli import main, run
@@ -130,6 +131,16 @@ class TestSimulate:
                             "--out", str(tmp_path / "x.json"), "--format", "csv")
         assert code == 1
         assert "CSV" in err
+
+    def test_csv_needs_three_coordinates(self, capsys, tmp_path):
+        # The CSV columns are x1, x2, x3: any other m stops before the JSON file is written.
+        tensor, out_path = tmp_path / "m2.json", tmp_path / "run.json"
+        tensor.write_text(_volterra_tensor_json(2))
+        code, out, err = _run(capsys, "simulate", "--tensor", str(tensor), "--x0", "0.5,0.5",
+                              "--format", "csv", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: CSV export needs a tensor with m = 3, got m = 2\n"
+        assert not out_path.exists() and not out_path.with_suffix(".csv").exists()
 
     def test_csv_without_out_writes_nothing(self, capsys):
         code, out, err = _run(capsys, "simulate", "--op", "13", "--a", "0.2",
@@ -733,3 +744,89 @@ class TestConsoleEntry:
             gc.unfreeze()  # run() freezes the collector for the exit it expects
         captured = capsys.readouterr()
         assert (exit_.value.code, captured.out, captured.err) == _run(capsys, *argv)
+
+
+def _volterra_tensor_json(m: int) -> str:
+    """The tensor file of P_ij,k = (delta_ik + delta_jk) / 2, a valid heredity tensor for any m."""
+    P = [((i == k) + (j == k)) / 2 for i in range(m) for j in range(m) for k in range(m)]
+    return json.dumps({"m": m, "P": P})
+
+
+# The vocabulary of the property test below: each flag's common values, then values that
+# are likely refused (_BAD, which every flag can draw, comes on top). --tensor and --out
+# name files under the test's directory.
+_BAD = ("nan", "-0.1", "1.5", "", "0.3,", "-inf")
+_POINTS = {1: ("1",), 2: ("0.5,0.5",), 3: ("0.3,0.4,0.3", "0,0,1"), 4: ("0.25,0.25,0.25,0.25",)}
+_VALUES = {
+    "--a": (("0", "0.3", "0.5", "1"), ()),
+    "--op": (("1", "4", "13", "25", "28"), ("0", "37")),
+    "--tensor": ((), ("missing.json", ".")),  # the common value is the file of m coordinates
+    "--x0": ((), ("1,1,1",) + tuple(p for ps in _POINTS.values() for p in ps)),
+    "--seed": (("0", "7"), ("-1",)),
+    "--count": (("1", "3"), ("0",)),
+    "--seeds": (("1", "3"), ("0",)),
+    "--tol": (("1e-9", "1e-3"), ("0",)),
+    "--max-iter": (("1", "20"), ("0",)),
+    "--format": (("csv",), ("xml",)),  # json is the default
+    "--out": (("out.json",), (".",)),
+}
+_VERIFY_A = (("0.3", "0.2,0.5", "0.5,0.8"), ("0.3,x",))
+# The two input sources of simulate and tensor, and simulate's two kinds of start: each
+# valid choice is listed three times, so most runs get past the rules that relate flags.
+_SOURCES = (("--op", "--a"),) * 3 + (("--tensor",),) * 3 + (
+    (), ("--op",), ("--a", "--tensor"), ("--op", "--a", "--tensor"))
+_STARTS = (("--x0",),) * 3 + (("--seed",),) * 3 + ((), ("--x0", "--seed"))
+# Flags given or left out at random; --max-iter and --seeds are always given, so no
+# run takes a default budget and one example takes milliseconds.
+_OPTIONAL = {"catalog": ("--a", "--out"), "classify": ("--a", "--strict", "--out"),
+             "simulate": ("--count", "--tol", "--format", "--out"),
+             "verify": ("--a", "--tol", "--seed", "--out"), "tensor": ("--out",)}
+
+
+@st.composite
+def _argv(draw, directory: Path) -> list[str]:
+    command = draw(st.sampled_from(sorted(_OPTIONAL)))
+    flags = [flag for flag in _OPTIONAL[command] if draw(st.booleans())]
+    if command in ("simulate", "tensor"):
+        flags += draw(st.sampled_from(_SOURCES))
+    if command == "simulate":
+        flags += draw(st.sampled_from(_STARTS)) + ("--max-iter",)
+    if command == "verify":
+        flags += ["--op", "--seeds", "--max-iter"]
+    bad = draw(st.sampled_from(flags)) if flags and draw(st.integers(0, 2)) == 0 else None
+    m = draw(st.sampled_from(sorted(_POINTS))) if "--tensor" in flags else 3
+    common = {"--tensor": (f"m{m}.json",), "--x0": _POINTS[m]}
+    argv = [command]
+    for flag in flags:
+        if flag == "--strict":
+            argv.append(flag)
+            continue
+        good, rare = _VERIFY_A if (command, flag) == ("verify", "--a") else _VALUES[flag]
+        good = common.get(flag, good)
+        value = draw(st.sampled_from(rare + _BAD if flag == bad else good))
+        if flag in ("--tensor", "--out") and value:
+            value = str(directory / value)
+        argv += [flag, value]
+    return argv
+
+
+class TestNeverATraceback:
+    @pytest.fixture
+    def directory(self, tmp_path):
+        for m in (1, 2, 3, 4):
+            (tmp_path / f"m{m}.json").write_text(_volterra_tensor_json(m))
+        return tmp_path
+
+    def test_every_command_line_exits_with_a_code(self, capsys, directory):
+        # Exit 1 comes with exactly one `error: ` line on stderr; 0 and 2 write nothing there.
+        @settings(max_examples=500)
+        @given(_argv(directory))
+        def check(argv):
+            code, _, err = _run(capsys, *argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert err.startswith("error: ") and err.find("\n") == len(err) - 1, (argv, err)
+            else:
+                assert err == "", (argv, err)
+
+        check()

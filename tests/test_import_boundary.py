@@ -9,6 +9,7 @@ LazyLoader runs.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,13 @@ def test_public_names_and_dir_in_this_process():
     assert qsodyn.CATALOG_PARTITION is catalog.CATALOG_PARTITION
     assert qsodyn.limit_prediction is dynamics.limit_prediction
     assert set(qsodyn.__all__) <= set(dir(qsodyn))
+
+
+def test_version_matches_the_project_metadata():
+    # pyproject.toml declares the version too; a regex reads it where tomllib is missing (3.10).
+    import qsodyn
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]+)"$', text, re.M) == [qsodyn.__version__]
 
 
 def test_public_names_resolve_from_their_home_modules():
