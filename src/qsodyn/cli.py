@@ -86,53 +86,78 @@ def _parse_x0(text: str) -> simplex.SimplexPoint:
         raise UsageError(f"--x0 is not a simplex point: {exc}") from None
 
 
+def _out_path(text) -> Path:
+    """The --out type: a directory, or a file in a missing directory, fails at parse time."""
+    path = Path(text)
+    if path.is_dir():
+        raise UsageError(f"cannot write {path}: Is a directory")
+    if not path.parent.exists():
+        raise UsageError(f"cannot write {path}: No such file or directory")
+    return path
+
+
+def _load_tensor(args) -> tuple[HeredityTensor, dict]:
+    """The tensor that the source flags name (--op with --a, or --tensor), and its JSON tag."""
+    if (args.tensor is None) == (args.op is None):
+        raise UsageError("need exactly one input source: --op with --a, or --tensor")
+    if args.tensor is None:
+        if args.a is None:
+            raise UsageError("--op requires --a")
+        return operator_tensor(args.op, args.a), {"op": args.op, "a": args.a}
+    if args.a is not None:
+        raise UsageError("--a goes with --op; a tensor file carries its own coefficients")
+    try:
+        return HeredityTensor.from_json(args.tensor.read_text()), {"tensor_file": str(args.tensor)}
+    except OSError as exc:
+        raise UsageError(f"cannot read tensor file: {exc}") from None
+    except ValueError as exc:  # also text that is not UTF-8
+        raise UsageError(f"bad tensor file: {exc}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qsodyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    out, budget, source = (_Parser(add_help=False) for _ in range(3))
+    out.add_argument("--out", type=_out_path, default=None)
+    budget.add_argument("--tol", type=_TOL, default=None)
+    budget.add_argument("--max-iter", type=_MAX_ITER, default=None)
+    source.add_argument("--op", type=_OP, default=None, help="catalog id 1..36")
+    source.add_argument("--a", type=_A, default=None)
+    source.add_argument("--tensor", type=Path, default=None, help="tensor JSON file")
 
-    p_cat = sub.add_parser("catalog", help="list the 36 catalog operators with structure tags")
+    p_cat = sub.add_parser("catalog", parents=[out],
+                           help="list the 36 catalog operators with structure tags")
     p_cat.add_argument("--a", type=_A, default=0.3, help="parameter value (default 0.3)")
-    p_cat.add_argument("--out", type=Path, default=None)
     p_cat.set_defaults(func=_cmd_catalog)
 
-    p_cls = sub.add_parser("classify", help="conjugacy classes of the catalog at a parameter")
+    p_cls = sub.add_parser("classify", parents=[out],
+                           help="conjugacy classes of the catalog at a parameter")
     p_cls.add_argument("--a", type=_A, required=True)
     p_cls.add_argument("--strict", action="store_true",
                        help="only merge coefficient matches at the same parameter")
-    p_cls.add_argument("--out", type=Path, default=None)
     p_cls.set_defaults(func=_cmd_classify)
 
-    p_sim = sub.add_parser("simulate", help="iterate an operator and classify the orbit")
-    p_sim.add_argument("--op", type=_OP, default=None, help="catalog id 1..36")
-    p_sim.add_argument("--a", type=_A, default=None)
-    p_sim.add_argument("--tensor", type=Path, default=None, help="tensor JSON file")
+    p_sim = sub.add_parser("simulate", parents=[source, budget, out],
+                           help="iterate an operator and classify the orbit")
     p_sim.add_argument("--x0", type=_parse_x0, default=None,
                        help="initial point, e.g. 0.3,0.4,0.3")
     p_sim.add_argument("--seed", type=_SEED, default=None, help="seed for sampled initial points")
     p_sim.add_argument("--count", type=_COUNT, default=None,
                        help="number of sampled trajectories with --seed (default 1)")
-    p_sim.add_argument("--tol", type=_TOL, default=None)
-    p_sim.add_argument("--max-iter", type=_MAX_ITER, default=None)
-    p_sim.add_argument("--out", type=Path, default=None)
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_ver = sub.add_parser("verify", help="check orbits against the predicted limit sets")
+    p_ver = sub.add_parser("verify", parents=[budget, out],
+                           help="check orbits against the predicted limit sets")
     p_ver.add_argument("--op", type=int, required=True, choices=sorted(ANALYZED_OPS))
     p_ver.add_argument("--a", type=_a_list, default=None,
                        help="comma-separated parameter list (default depends on --op)")
     p_ver.add_argument("--seeds", type=_SEEDS, default=100)
-    p_ver.add_argument("--tol", type=_TOL, default=None)
-    p_ver.add_argument("--max-iter", type=_MAX_ITER, default=None)
     p_ver.add_argument("--seed", type=_SEED, default=7, help="base seed for initial points")
-    p_ver.add_argument("--out", type=Path, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_ten = sub.add_parser("tensor", help="export a catalog tensor or validate a tensor file")
-    p_ten.add_argument("--op", type=_OP, default=None)
-    p_ten.add_argument("--a", type=_A, default=None)
-    p_ten.add_argument("--tensor", type=Path, default=None)
-    p_ten.add_argument("--out", type=Path, default=None)
+    p_ten = sub.add_parser("tensor", parents=[source, out],
+                           help="export a catalog tensor or validate a tensor file")
     p_ten.set_defaults(func=_cmd_tensor)
 
     return parser
@@ -193,24 +218,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _load_tensor(args) -> tuple[HeredityTensor, dict]:
-    """The tensor of --op with --a, or of the --tensor file, with its JSON source tag."""
-    if (args.tensor is None) == (args.op is None):
-        raise UsageError("need exactly one input source: --op with --a, or --tensor")
-    if args.tensor is None:
-        if args.a is None:
-            raise UsageError("--op requires --a")
-        return operator_tensor(args.op, args.a), {"op": args.op, "a": args.a}
-    if args.a is not None:
-        raise UsageError("--a goes with --op; a tensor file carries its own coefficients")
-    try:
-        return HeredityTensor.from_json(args.tensor.read_text()), {"tensor_file": str(args.tensor)}
-    except OSError as exc:
-        raise UsageError(f"cannot read tensor file: {exc}") from None
-    except ValueError as exc:  # also text that is not UTF-8
-        raise UsageError(f"bad tensor file: {exc}") from None
-
-
 def _cmd_simulate(args) -> int:
     T, source = _load_tensor(args)
     report = validate(T)
@@ -241,6 +248,9 @@ def _cmd_simulate(args) -> int:
             raise UsageError("CSV export needs --out to name the files")
         if T.m != 3:
             raise UsageError(f"CSV export needs a tensor with m = 3, got m = {T.m}")
+        if args.out.suffix == ".csv":
+            raise UsageError("CSV export puts the CSV next to --out, so --out must not end in .csv")
+        _out_path(args.out.with_suffix(".csv"))
 
     reports = dynamics.omega_limits(T, [p.coords for p in points], tol=tol, max_iter=max_iter)
     payload = {

@@ -7,6 +7,11 @@ in its file, is replaced by its new text, and `python -m pytest -q -x -p no:cach
 selected tests fail) or "equivalent" (they pass; the row says why). The script prints one
 line per row and exits 1 naming each row whose result differs from its expectation.
 
+First, `pytest --collect-only` runs once over every row's selection on the unmutated tree,
+and the script stops with exit 1 if that fails. So a mutant run that exits 2 or 4 (a
+collection error, or a node id that no longer resolves because a module fails to import)
+is the mutant's doing and counts as killed; exit 3 or 5 means the row could not run.
+
 The file name does not match test_*.py, so the tier-1 suite does not collect it.
 """
 
@@ -85,7 +90,7 @@ MUTANTS = (
            ("tests/test_dynamics.py::TestRegions",), "killed"),
     Mutant("the interval rule includes its ends", "src/qsodyn/rules.py",
            "if not lo <= value <= hi:", "if not lo < value <= hi:",
-           ("tests/test_cli.py::TestNegativeZeroParameter",), "killed"),
+           ("tests/test_dynamics.py::TestRegime",), "killed"),
     Mutant("the positive rule rejects 0", "src/qsodyn/rules.py",
            "if not 0.0 < value < math.inf:", "if not 0.0 <= value < math.inf:",
            ("tests/test_dynamics.py",), "killed"),
@@ -96,7 +101,25 @@ MUTANTS = (
            '''        if T.m != 3:
             raise UsageError(f"CSV export needs a tensor with m = 3, got m = {T.m}")
 ''', "", ("tests/test_cli.py::TestSimulate",), "killed"),
+    Mutant("--out in a missing directory is refused when parsed", "src/qsodyn/cli.py",
+           "if not path.parent.exists():", "if False:",
+           ("tests/test_cli.py::TestOutputRefusedBeforeWork",), "killed"),
+    Mutant("verify takes the shared budget flags", "src/qsodyn/cli.py",
+           'sub.add_parser("verify", parents=[budget, out],',
+           'sub.add_parser("verify", parents=[out],',
+           ("tests/test_cli.py::TestVerify",), "killed"),
+    Mutant("CSV export refuses an --out that ends in .csv", "src/qsodyn/cli.py",
+           '''        if args.out.suffix == ".csv":
+            raise UsageError("CSV export puts the CSV next to --out, so --out must not end in .csv")
+''', "", ("tests/test_cli.py::TestOutputRefusedBeforeWork",), "killed"),
 )
+
+
+def _pytest(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """`python -m pytest -q -p no:cacheprovider <args>` in tree, on tree's src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+                          cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
 
 
 def run(mutant: Mutant) -> str:
@@ -110,19 +133,23 @@ def run(mutant: Mutant) -> str:
         if text.count(mutant.old) != 1:
             return f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
         path.write_text(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                 *mutant.selection], cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+            done = _pytest(tree, "-x", *mutant.selection)
         except subprocess.TimeoutExpired:
             return f"timed out after {TIMEOUT_S} s"
-        if done.returncode not in (0, 1):  # 2-5: interrupted, internal or usage error, no tests
-            return f"pytest exited {done.returncode}"
-        return "killed" if done.returncode else "equivalent"
+        if done.returncode in (1, 2, 4):  # failed tests, or a collection that the mutant broke
+            return "killed"
+        return "equivalent" if done.returncode == 0 else f"pytest exited {done.returncode}"
 
 
 def main() -> int:
+    selections = dict.fromkeys(arg for mutant in MUTANTS for arg in mutant.selection)
+    collected = _pytest(ROOT, "--collect-only", *selections)
+    if collected.returncode:
+        print(collected.stdout[-3000:], collected.stderr[-3000:], sep="\n", file=sys.stderr)
+        print(f"the unmutated tree does not collect the rows' selections (pytest exited "
+              f"{collected.returncode})", file=sys.stderr)
+        return 1
     wrong = []
     for mutant in MUTANTS:
         start = time.perf_counter()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsodyn import dynamics
 from qsodyn.catalog import operator_tensor
 from qsodyn.cli import main, run
 from qsodyn.operators import HeredityTensor
@@ -466,6 +467,65 @@ class TestTensor:
         code, out, err = _run(capsys, "tensor", "--tensor", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: bad tensor file")
+
+
+@pytest.fixture
+def no_orbits(monkeypatch):
+    """Make the orbit work of verify and simulate fail the test if it starts."""
+    def ran(*args, **kwargs):
+        raise AssertionError("orbits ran although the output file cannot be written")
+
+    for name in ("verify_predictions", "omega_limits"):
+        monkeypatch.setattr(dynamics, name, ran)
+
+
+class TestOutputRefusedBeforeWork:
+    # --out, and the CSV file next to it, are checked when the command line is read:
+    # a directory, or a file in a missing directory, stops the run before any orbit.
+    def test_verify_into_missing_directory(self, capsys, tmp_path, no_orbits):
+        missing = tmp_path / "missing" / "v.json"
+        result = _run(capsys, "verify", "--op", "4", "--a", "0.5", "--seeds", "100",
+                      "--out", str(missing))
+        assert result == (1, "", f"error: cannot write {missing}: No such file or directory\n")
+
+    def test_simulate_onto_a_directory(self, capsys, tmp_path, no_orbits):
+        result = _run(capsys, "simulate", "--op", "25", "--a", "0.3", "--x0", "0.2,0.4,0.4",
+                      "--out", str(tmp_path))
+        assert result == (1, "", f"error: cannot write {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("catalog",),
+        ("classify", "--a", "0.3"),
+        ("simulate", "--op", "13", "--a", "0.3", "--seed", "1"),
+        ("verify", "--op", "13"),
+        ("tensor", "--op", "13", "--a", "0.3"),
+    ], ids=lambda argv: argv[0])
+    def test_every_command_refuses_at_parse_time(self, capsys, tmp_path, no_commands, argv):
+        missing = tmp_path / "missing" / "out.json"
+        for path, reason in ((tmp_path, "Is a directory"), (missing, "No such file or directory")):
+            result = _run(capsys, *argv, "--out", str(path))
+            assert result == (1, "", f"error: cannot write {path}: {reason}\n")
+
+    def test_csv_out_would_overwrite_the_json(self, capsys, tmp_path, no_orbits):
+        result = _run(capsys, "simulate", "--op", "13", "--a", "0.2", "--x0", "0.3,0.4,0.3",
+                      "--format", "csv", "--out", str(tmp_path / "run.csv"))
+        assert result == (
+            1, "", "error: CSV export puts the CSV next to --out, so --out must not end in .csv\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_path_is_a_directory(self, capsys, tmp_path, no_orbits):
+        (tmp_path / "x.csv").mkdir()
+        result = _run(capsys, "simulate", "--op", "25", "--a", "0.3", "--x0", "0.2,0.4,0.4",
+                      "--format", "csv", "--out", str(tmp_path / "x.json"))
+        assert result == (1, "", f"error: cannot write {tmp_path / 'x.csv'}: Is a directory\n")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_write_failure_after_parse(self, capsys, tmp_path):
+        # A file where a directory should be passes the parse-time rule; the write reports it.
+        (tmp_path / "plain").write_text("")
+        path = tmp_path / "plain" / "t.json"
+        result = _run(capsys, "tensor", "--op", "13", "--a", "0.3", "--out", str(path))
+        assert result == (1, "", f"error: cannot write {path}: Not a directory\n")
 
 
 # Every numeric flag of every subcommand, and --x0: values that the flag's
