@@ -9,8 +9,10 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -65,6 +67,7 @@ _MAX_ITER = _domain(int, lambda n: n >= 1, "--max-iter must be >= 1")
 _SEED = _domain(int, lambda n: n >= 0, "--seed must be >= 0")
 _SEEDS = _domain(int, lambda n: n >= 1, "--seeds must be >= 1")
 _COUNT = _domain(int, lambda n: n >= 1, "--count must be >= 1")
+_CANNOT_WRITE = "cannot write {}: {}"  # an --out or CSV path, refused when parsed or written
 
 
 def _float_list(flag: str, text: str) -> list[float]:
@@ -87,12 +90,14 @@ def _parse_x0(text: str) -> simplex.SimplexPoint:
 
 
 def _out_path(text) -> Path:
-    """The --out type: a directory, or a file in a missing directory, fails at parse time."""
+    """The --out type: a directory, or a file in a directory out of reach, fails at parse time."""
     path = Path(text)
-    if path.is_dir():
-        raise UsageError(f"cannot write {path}: Is a directory")
-    if not path.parent.exists():
-        raise UsageError(f"cannot write {path}: No such file or directory")
+    try:
+        os.stat(path.parent)  # missing, not searchable, not a directory: the OS names it
+    except OSError as exc:
+        raise UsageError(_CANNOT_WRITE.format(path, exc.strerror)) from None
+    if os.path.isdir(path):  # False where os.path cannot look; then _write meets the error
+        raise UsageError(_CANNOT_WRITE.format(path, os.strerror(errno.EISDIR)))
     return path
 
 
@@ -167,7 +172,7 @@ def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise UsageError(_CANNOT_WRITE.format(path, exc.strerror or exc)) from None
 
 
 def _emit(text: str, out: Optional[Path]) -> None:

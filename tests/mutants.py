@@ -102,7 +102,7 @@ MUTANTS = (
             raise UsageError(f"CSV export needs a tensor with m = 3, got m = {T.m}")
 ''', "", ("tests/test_cli.py::TestSimulate",), "killed"),
     Mutant("--out in a missing directory is refused when parsed", "src/qsodyn/cli.py",
-           "if not path.parent.exists():", "if False:",
+           "os.stat(path.parent)", "pass",
            ("tests/test_cli.py::TestOutputRefusedBeforeWork",), "killed"),
     Mutant("verify takes the shared budget flags", "src/qsodyn/cli.py",
            'sub.add_parser("verify", parents=[budget, out],',

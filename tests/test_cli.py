@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
 import gc
 import hashlib
 import json
@@ -526,6 +527,39 @@ class TestOutputRefusedBeforeWork:
         path = tmp_path / "plain" / "t.json"
         result = _run(capsys, "tensor", "--op", "13", "--a", "0.3", "--out", str(path))
         assert result == (1, "", f"error: cannot write {path}: Not a directory\n")
+
+    def test_file_name_too_long(self, capsys, tmp_path):
+        # The parse-time rule cannot look at a name longer than 255 bytes; the write names it.
+        path = tmp_path / ("x" * 300)
+        result = _run(capsys, "catalog", "--out", str(path))
+        assert result == (1, "", f"error: cannot write {path}: File name too long\n")
+
+    def test_directory_name_too_long(self, capsys, tmp_path, no_commands):
+        path = tmp_path / ("x" * 300) / "out.json"
+        result = _run(capsys, "catalog", "--out", str(path))
+        assert result == (1, "", f"error: cannot write {path}: File name too long\n")
+
+    def test_csv_name_too_long(self, capsys, tmp_path):
+        out = tmp_path / ("x" * 252 + ".j")  # 254 bytes fit a file name; the CSV's 256 do not
+        csv = out.with_suffix(".csv")
+        result = _run(capsys, "simulate", "--op", "25", "--a", "0.3", "--x0", "0.2,0.4,0.4",
+                      "--format", "csv", "--out", str(out))
+        assert result == (1, "", f"error: cannot write {csv}: File name too long\n")
+
+    def test_unsearchable_directory_names_the_permission(
+            self, capsys, tmp_path, no_commands, monkeypatch):
+        # Root may search any directory, so the refusal of one is played by os.stat.
+        locked, real_stat = tmp_path / "locked" / "sub", os.stat
+
+        def stat(path, *args, **kwargs):
+            if Path(path) == locked:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", stat)
+        path = locked / "out.json"
+        result = _run(capsys, "catalog", "--out", str(path))
+        assert result == (1, "", f"error: cannot write {path}: Permission denied\n")
 
 
 # Every numeric flag of every subcommand, and --x0: values that the flag's
