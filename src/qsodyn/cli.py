@@ -90,12 +90,18 @@ def _parse_x0(text: str) -> simplex.SimplexPoint:
 
 
 def _out_path(text) -> Path:
-    """The --out type: a directory, or a file in a directory out of reach, fails at parse time."""
+    """The --out type: a directory, a name too long or an unreachable directory fail when parsed."""
     path = Path(text)
     try:
         os.stat(path.parent)  # missing, not searchable, not a directory: the OS names it
     except OSError as exc:
         raise UsageError(_CANNOT_WRITE.format(path, exc.strerror)) from None
+    try:
+        too_long = len(os.fsencode(path.name)) > os.pathconf(path.parent, "PC_NAME_MAX")
+    except OSError:  # the OS cannot say; then _write meets the error
+        too_long = False
+    if too_long:
+        raise UsageError(_CANNOT_WRITE.format(path, os.strerror(errno.ENAMETOOLONG)))
     if os.path.isdir(path):  # False where os.path cannot look; then _write meets the error
         raise UsageError(_CANNOT_WRITE.format(path, os.strerror(errno.EISDIR)))
     return path

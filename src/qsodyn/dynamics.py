@@ -18,7 +18,8 @@ Everything is deterministic given explicit seeds; there is no hidden state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -426,18 +427,33 @@ _SLICE_CYCLE_HIGH = _slice_curve("slice cycle, high branch", CYCLE_PARAM_SUP,
 # The limit-case table: one entry per (operator, regime)
 # ---------------------------------------------------------------------------
 
+# A branch condition reads x_i(0) <relation> <bound>. "=" and "!=" go with the
+# bound "0": a coordinate at or below ZERO_TOL counts as zero.
+_BOUNDS = {"0": ZERO_TOL, "1/2": 0.5, "cycle sup": CYCLE_PARAM_SUP}
+_RELATIONS = {"!=": operator.gt, "=": operator.le, ">": operator.gt, "<=": operator.le,
+              "<": operator.lt, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class _Branch:
-    """One case of a limit analysis: orbits starting where `holds` is true
-    converge to the point or unordered 2-cycle of `targets`, each a point or
-    a curve taken at the parameter x1(0). Verification draws interior starts,
-    or starts on the edge x[edge] = 0 (0-based) when `edge` is set."""
+    """One case of a limit analysis: orbits starting where x_i(0) <relation> <bound>
+    holds converge to the point or unordered 2-cycle of `targets`, each a point or
+    a curve taken at the parameter x1(0). Verification draws interior starts, or
+    starts on the edge x_i = 0 for an "= 0" branch."""
 
-    label: str  # condition on x(0), e.g. "x1(0) != 0"
+    i: int  # the coordinate of the condition, 1-based
+    relation: str  # a key of _RELATIONS
+    bound: str  # a key of _BOUNDS
     target_text: str  # e.g. "e1"
-    holds: Callable[[np.ndarray], np.ndarray]  # on one point (3,) or on rows (n, 3)
     targets: tuple  # SimplexPoint or CurveFamily items
-    edge: Optional[int] = None
+
+    @property
+    def label(self) -> str:  # the condition, e.g. "x1(0) != 0"
+        return f"x{self.i}(0) {self.relation} {self.bound}"
+
+    @property
+    def edge(self) -> Optional[int]:  # the edge x[edge] = 0 (0-based) that starts lie on
+        return self.i - 1 if self.relation == "=" else None
 
     @property
     def kind(self) -> str:
@@ -446,6 +462,9 @@ class _Branch:
     @property
     def continuum(self) -> bool:  # the target lies on a parametric family
         return isinstance(self.targets[0], CurveFamily)
+
+    def holds(self, x: np.ndarray) -> np.ndarray:  # on one point (3,) or on rows (n, 3)
+        return _RELATIONS[self.relation](x[..., self.i - 1], _BOUNDS[self.bound])
 
     def candidates(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The next `count` starts of the stream as (count, 3) rows, before `holds`."""
@@ -457,16 +476,6 @@ class _Branch:
         """(n, k, 3) raw coordinates of the k target points of each start row."""
         return np.stack([t.coords(X[:, 0]) if isinstance(t, CurveFamily)
                          else np.broadcast_to(t.coords, X.shape) for t in self.targets], axis=1)
-
-
-def _off_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
-    """x_i(0) != 0 -> a vertex or a 2-cycle of vertices."""
-    return _Branch(f"x{i}(0) != 0", target_text, lambda x: x[..., i - 1] > ZERO_TOL, points)
-
-
-def _on_edge(i: int, target_text: str, *points: SimplexPoint) -> _Branch:
-    """x_i(0) = 0 -> a vertex or a 2-cycle of vertices; starts drawn on that edge."""
-    return _Branch(f"x{i}(0) = 0", target_text, lambda x: x[..., i - 1] <= ZERO_TOL, points, i - 1)
 
 
 @dataclass(frozen=True)
@@ -506,60 +515,41 @@ E1, E2, E3 = vertex(1, 3), vertex(2, 3), vertex(3, 3)
 _VERTICES = PointSet(points=(E1, E2, E3))
 _VERTEX_CYCLE = PointSet(points=(E2, E3))
 _OP4_FIXED = PointSet(points=(E1, _SLICE_FIXED.point_at(0.0)))
+_OP13_EDGE = _edge_curve(2, "edge x2 = 0")
+_OP13_LINE = CurveFamily("x1 = x3 segment", 0.0, 0.5,
+                         lambda ts: np.stack((ts, 1.0 - 2.0 * ts, ts), axis=1), straight=True)
+# Operator 28 also fixes a point of the edge x1 = 0 that moves with a: _limit_table adds it.
+_OP28_OFF_BALANCE = _LimitTable(PointSet(points=(E1,)), _VERTEX_CYCLE, (
+    _Branch(1, "=", "0", "cycle {e2, e3}", (E2, E3)), _Branch(1, "!=", "0", "e1", (E1,))))
 
-
-def _op13_balanced(a: float) -> _LimitTable:
-    edge = _edge_curve(2, "edge x2 = 0")
-    line = CurveFamily("x1 = x3 segment", 0.0, 0.5,
-                       lambda ts: np.stack((ts, 1.0 - 2.0 * ts, ts), axis=1), straight=True)
-    return _LimitTable(PointSet(curves=(edge, line)), PointSet(), (
-        _Branch("x1(0) > 1/2", "(x1, 0, 1 - x1)", lambda x: x[..., 0] > 0.5, (edge,)),
-        _Branch("x1(0) <= 1/2", "(x1, 1 - 2 x1, x1)", lambda x: x[..., 0] <= 0.5, (line,)),
-    ))
-
-
-def _op4_balanced(a: float) -> _LimitTable:
-    return _LimitTable(
-        PointSet(curves=(_SLICE_FIXED,)), PointSet(curves=(_SLICE_CYCLE_LOW, _SLICE_CYCLE_HIGH)), (
-            _Branch("x1(0) < cycle sup", "slice 2-cycle", lambda x: x[..., 0] < CYCLE_PARAM_SUP,
-                    (_SLICE_CYCLE_LOW, _SLICE_CYCLE_HIGH)),
-            _Branch("x1(0) >= cycle sup", "slice fixed point",
-                    lambda x: x[..., 0] >= CYCLE_PARAM_SUP, (_SLICE_FIXED,)),
-        ))
-
-
-def _op28_fixed(a: float) -> PointSet:
-    return PointSet(points=(E1, SimplexPoint(_edge_points(0, edge_fixed_height(a)))))
-
-
-def _op28_off_balance(a: float) -> _LimitTable:
-    return _LimitTable(_op28_fixed(a), _VERTEX_CYCLE, (
-        _on_edge(1, "cycle {e2, e3}", E2, E3), _off_edge(1, "e1", E1)))
-
-
-_TABLES: dict[tuple[int, str], Callable[[float], _LimitTable]] = {
-    (13, "below"): lambda a: _LimitTable(
-        _VERTICES, PointSet(), (_off_edge(2, "e2", E2), _on_edge(2, "e3", E3))),
-    (13, "balanced"): _op13_balanced,
-    (13, "above"): lambda a: _LimitTable(
-        _VERTICES, PointSet(), (_off_edge(1, "e1", E1), _on_edge(1, "e2", E2))),
+_TABLES: dict[tuple[int, str], _LimitTable] = {
+    (13, "below"): _LimitTable(_VERTICES, PointSet(), (
+        _Branch(2, "!=", "0", "e2", (E2,)), _Branch(2, "=", "0", "e3", (E3,)))),
+    (13, "balanced"): _LimitTable(PointSet(curves=(_OP13_EDGE, _OP13_LINE)), PointSet(), (
+        _Branch(1, ">", "1/2", "(x1, 0, 1 - x1)", (_OP13_EDGE,)),
+        _Branch(1, "<=", "1/2", "(x1, 1 - 2 x1, x1)", (_OP13_LINE,)))),
+    (13, "above"): _LimitTable(_VERTICES, PointSet(), (
+        _Branch(1, "!=", "0", "e1", (E1,)), _Branch(1, "=", "0", "e2", (E2,)))),
     # Below 1/2 only the exact sets of operator 4 are known: no start has a covered prediction.
-    (4, "below"): lambda a: _LimitTable(_OP4_FIXED, _VERTEX_CYCLE, ()),
-    (4, "balanced"): _op4_balanced,
-    (4, "above"): lambda a: _LimitTable(_OP4_FIXED, _VERTEX_CYCLE, (
-        _off_edge(1, "e1", E1), _on_edge(1, "cycle {e2, e3}", E2, E3))),
-    (28, "below"): _op28_off_balance,
-    (28, "balanced"): lambda a: _LimitTable(_op28_fixed(a), PointSet(curves=(
+    (4, "below"): _LimitTable(_OP4_FIXED, _VERTEX_CYCLE, ()),
+    (4, "balanced"): _LimitTable(
+        PointSet(curves=(_SLICE_FIXED,)), PointSet(curves=(_SLICE_CYCLE_LOW, _SLICE_CYCLE_HIGH)),
+        (_Branch(1, "<", "cycle sup", "slice 2-cycle", (_SLICE_CYCLE_LOW, _SLICE_CYCLE_HIGH)),
+         _Branch(1, ">=", "cycle sup", "slice fixed point", (_SLICE_FIXED,)))),
+    (4, "above"): _LimitTable(_OP4_FIXED, _VERTEX_CYCLE, (
+        _Branch(1, "!=", "0", "e1", (E1,)), _Branch(1, "=", "0", "cycle {e2, e3}", (E2, E3)))),
+    (28, "below"): _OP28_OFF_BALANCE,
+    (28, "balanced"): _LimitTable(PointSet(points=(E1,)), PointSet(curves=(
         _edge_curve(1, "edge x1 = 0 (minus its midpoint)", exclude_params=(0.5,)),)),
-        (_off_edge(1, "e1", E1),)),
-    (28, "above"): _op28_off_balance,
-    (25, "below"): lambda a: _LimitTable(
-        _VERTICES, PointSet(), (_on_edge(1, "e3", E3), _off_edge(1, "e1", E1))),
-    (25, "balanced"): lambda a: _LimitTable(
+        (_Branch(1, "!=", "0", "e1", (E1,)),)),
+    (28, "above"): _OP28_OFF_BALANCE,
+    (25, "below"): _LimitTable(_VERTICES, PointSet(), (
+        _Branch(1, "=", "0", "e3", (E3,)), _Branch(1, "!=", "0", "e1", (E1,)))),
+    (25, "balanced"): _LimitTable(
         PointSet(points=(E1,), curves=(_edge_curve(1, "edge x1 = 0"),)), PointSet(),
-        (_off_edge(1, "e1", E1),)),
-    (25, "above"): lambda a: _LimitTable(
-        _VERTICES, PointSet(), (_on_edge(1, "e2", E2), _off_edge(1, "e1", E1))),
+        (_Branch(1, "!=", "0", "e1", (E1,)),)),
+    (25, "above"): _LimitTable(_VERTICES, PointSet(), (
+        _Branch(1, "=", "0", "e2", (E2,)), _Branch(1, "!=", "0", "e1", (E1,)))),
 }
 
 
@@ -571,9 +561,12 @@ def _require_analyzed(op_id: int) -> None:
 def _limit_table(op_id: int, a: float, covered: bool = False) -> _LimitTable:
     """The table entry of (op_id, regime(a)); with covered=True it must carry predictions."""
     _require_analyzed(op_id)
-    table = _TABLES[op_id, regime(a)](a)
+    table = _TABLES[op_id, regime(a)]
     if covered and not table.branches:
         raise ValueError(f"operator {op_id} has no covered limit prediction for a < 1/2")
+    if op_id == 28:
+        edge_fixed = SimplexPoint(_edge_points(0, edge_fixed_height(a)))
+        table = replace(table, fixed=PointSet(points=table.fixed.points + (edge_fixed,)))
     return table
 
 

@@ -112,6 +112,12 @@ MUTANTS = (
            '''        if args.out.suffix == ".csv":
             raise UsageError("CSV export puts the CSV next to --out, so --out must not end in .csv")
 ''', "", ("tests/test_cli.py::TestOutputRefusedBeforeWork",), "killed"),
+    Mutant("an = 0 branch counts ZERO_TOL as zero", "src/qsodyn/dynamics.py",
+           '"=": operator.le', '"=": operator.lt',
+           ("tests/test_dynamics.py::TestLimitTable",), "killed"),
+    Mutant("a < branch leaves its bound to the >= branch", "src/qsodyn/dynamics.py",
+           '"<": operator.lt', '"<": operator.le',
+           ("tests/test_dynamics.py::TestLimitTable",), "killed"),
 )
 
 

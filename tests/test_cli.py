@@ -529,7 +529,7 @@ class TestOutputRefusedBeforeWork:
         assert result == (1, "", f"error: cannot write {path}: Not a directory\n")
 
     def test_file_name_too_long(self, capsys, tmp_path):
-        # The parse-time rule cannot look at a name longer than 255 bytes; the write names it.
+        # A name longer than the file system's limit is refused when the command line is read.
         path = tmp_path / ("x" * 300)
         result = _run(capsys, "catalog", "--out", str(path))
         assert result == (1, "", f"error: cannot write {path}: File name too long\n")
@@ -545,6 +545,24 @@ class TestOutputRefusedBeforeWork:
         result = _run(capsys, "simulate", "--op", "25", "--a", "0.3", "--x0", "0.2,0.4,0.4",
                       "--format", "csv", "--out", str(out))
         assert result == (1, "", f"error: cannot write {csv}: File name too long\n")
+
+    def test_csv_name_too_long_stops_before_the_orbit(self, capsys, tmp_path, no_orbits):
+        out = tmp_path / ("x" * 252 + ".j")
+        result = _run(capsys, "simulate", "--op", "25", "--a", "0.3", "--x0", "0.2,0.4,0.4",
+                      "--format", "csv", "--out", str(out))
+        assert result == (
+            1, "", f"error: cannot write {out.with_suffix('.csv')}: File name too long\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_name_limit_unknown_leaves_the_error_to_the_write(
+            self, capsys, tmp_path, monkeypatch):
+        def pathconf(path, name):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        monkeypatch.setattr(os, "pathconf", pathconf)
+        path = tmp_path / ("x" * 300)
+        result = _run(capsys, "tensor", "--op", "13", "--a", "0.3", "--out", str(path))
+        assert result == (1, "", f"error: cannot write {path}: File name too long\n")
 
     def test_unsearchable_directory_names_the_permission(
             self, capsys, tmp_path, no_commands, monkeypatch):

@@ -815,6 +815,56 @@ class TestLimitTable:
         with pytest.raises(ValueError):
             verify_predictions(28, (0.3,), seeds=3, **kwargs)
 
+    # Every (operator, regime) entry as literal data: per branch (label, target text,
+    # edge, kind, continuum), in verification order.
+    _ENTRIES = {
+        (13, "below"): [("x2(0) != 0", "e2", None, "point", False),
+                        ("x2(0) = 0", "e3", 1, "point", False)],
+        (13, "balanced"): [("x1(0) > 1/2", "(x1, 0, 1 - x1)", None, "point", True),
+                           ("x1(0) <= 1/2", "(x1, 1 - 2 x1, x1)", None, "point", True)],
+        (13, "above"): [("x1(0) != 0", "e1", None, "point", False),
+                        ("x1(0) = 0", "e2", 0, "point", False)],
+        (4, "below"): [],
+        (4, "balanced"): [("x1(0) < cycle sup", "slice 2-cycle", None, "cycle", True),
+                          ("x1(0) >= cycle sup", "slice fixed point", None, "point", True)],
+        (4, "above"): [("x1(0) != 0", "e1", None, "point", False),
+                       ("x1(0) = 0", "cycle {e2, e3}", 0, "cycle", False)],
+        (28, "below"): [("x1(0) = 0", "cycle {e2, e3}", 0, "cycle", False),
+                        ("x1(0) != 0", "e1", None, "point", False)],
+        (28, "balanced"): [("x1(0) != 0", "e1", None, "point", False)],
+        (28, "above"): [("x1(0) = 0", "cycle {e2, e3}", 0, "cycle", False),
+                        ("x1(0) != 0", "e1", None, "point", False)],
+        (25, "below"): [("x1(0) = 0", "e3", 0, "point", False),
+                        ("x1(0) != 0", "e1", None, "point", False)],
+        (25, "balanced"): [("x1(0) != 0", "e1", None, "point", False)],
+        (25, "above"): [("x1(0) = 0", "e2", 0, "point", False),
+                        ("x1(0) != 0", "e1", None, "point", False)],
+    }
+    # One start per condition, on the condition's boundary where that is not excluded.
+    _STARTS = {
+        "x1(0) != 0": (0.3, 0.3, 0.4),
+        "x2(0) != 0": (0.3, 0.3, 0.4),
+        "x1(0) = 0": (ZERO_TOL, 0.3, 0.7 - ZERO_TOL),
+        "x2(0) = 0": (0.3, ZERO_TOL, 0.7 - ZERO_TOL),
+        "x1(0) > 1/2": (0.6, 0.3, 0.1),
+        "x1(0) <= 1/2": (0.5, 0.3, 0.2),
+        "x1(0) < cycle sup": (0.1, 0.3, 0.6),
+        "x1(0) >= cycle sup": (CYCLE_PARAM_SUP, 0.3, 0.7 - CYCLE_PARAM_SUP),
+    }
+
+    def test_entries_are_pinned(self):
+        assert set(dynamics._TABLES) == {
+            (op_id, side) for op_id in ANALYZED_OPS for side in ("below", "balanced", "above")}
+        assert set(dynamics._TABLES) == set(self._ENTRIES)
+        for (op_id, side), entry in self._ENTRIES.items():
+            for a in {"below": (0.2, 0.3), "balanced": (0.5,), "above": (0.8,)}[side]:
+                branches = _limit_table(op_id, a).branches
+                assert [(b.label, b.target_text, b.edge, b.kind, b.continuum)
+                        for b in branches] == entry, (op_id, a)
+                for label, target_text, *_ in entry:
+                    case = limit_prediction(op_id, a, SimplexPoint(self._STARTS[label])).case
+                    assert case == f"{label} -> {target_text}", (op_id, a)
+
 
 def _scalar_orbits_reference(a, xs, tol, max_iter):
     """The scalar-map orbit loop as it stood before the shared batch loop:
