@@ -186,11 +186,11 @@ def omega_limits(T: HeredityTensor, X0: np.ndarray, tol: float = DEFAULT_TOL,
     """Iterate every start row of X0 (n, m) until it reaches a fixed point or
     a 2-cycle, or give up; one report per row, in order.
 
-    A fixed point requires the one-step residual to fall to tol. A 2-cycle
-    requires the two-step residual to fall to tol while the one-step residual
-    stays above 10 tol, so slowly converging fixed points are not mistaken
-    for cycles. Hitting max_iter yields outcome "undecided", which never
-    asserts convergence.
+    A fixed point requires the one-step residual to fall to tol, a 2-cycle the
+    two-step residual while the one-step residual stays above 10 tol. A slowly
+    converging fixed point with multiplier near -1 can meet the 2-cycle test
+    first (README, "Numerical conventions"). Hitting max_iter yields outcome
+    "undecided", which never asserts convergence.
 
     Kept iterates: step 0, every step up to 100, then steps 101, 127, 159,
     ..., each the ceiling of 1.25 times the last kept one, plus the final
@@ -899,14 +899,18 @@ def _run_case(T: HeredityTensor, X0: np.ndarray, kind: str, targets, tol: float,
     """Batch-iterate one case; returns per-point (steps, final distance),
     steps = -1 where the target was not reached within max_iter. `targets`
     holds the k = 1 or 2 predicted points of each row, shape (n, k, 3).
-    Point targets compare the current state; cycle targets compare the
+    Point targets compare the current state, confirmed by the next iterate in a
+    separate kernel call (steps report the first); cycle targets compare the
     unordered pair (previous, current) against the predicted pair."""
     def distance(t, cur, nxt, p1, p2):
         d = np.abs(nxt - p1).sum(axis=1)
         if kind == "cycle":
             d = np.minimum(np.maximum(d, np.abs(cur - p2).sum(axis=1)),
                            np.maximum(np.abs(nxt - p2).sum(axis=1), np.abs(cur - p1).sum(axis=1)))
-        return d <= tol, d
+        done = d <= tol
+        if kind == "point" and done.any():  # an orbit passing p1 leaves it at the next step
+            done[done] = np.abs(apply_array(T, nxt[done]) - p1[done]).sum(axis=1) <= tol
+        return done, d
 
     P = np.asarray(targets, dtype=float)
     return _iterate_until(lambda X: apply_array(T, X), X0, max_iter, distance,

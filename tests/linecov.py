@@ -1,12 +1,13 @@
 """Line coverage of src/qsodyn under the tier-1 tests, with a table of lines allowed to go unrun.
 
 Run from anywhere: `python tests/linecov.py`. The tests under tests/ run in one
-`python -m pytest -q -p no:cacheprovider -p linecov tests` process, as tier-1 runs them,
-which loads this file as a plugin. The plugin sets a `sys.settrace` line tracer when it is
-imported and sets it again before each test: a RecursionError raised inside the trace
-function, as the deep-nesting JSON tests raise one, makes CPython switch tracing off until
-the next test. Lines run only in the child processes that tests start (CLI runs as
-scripts) are not seen.
+`python -m pytest -q --continue-on-collection-errors -p no:cacheprovider -p linecov tests`
+process, as tier-1 runs them, which loads this file as a plugin. That process inherits the
+environment, so `PYTHONDEVMODE=1 python tests/linecov.py` runs the suite in development
+mode. The plugin sets a `sys.settrace` line tracer when it is imported and sets it again
+before each test: a RecursionError raised inside the trace function, as the deep-nesting
+JSON tests raise one, makes CPython switch tracing off until the next test. Lines run only
+in the child processes that tests start (CLI runs as scripts) are not seen.
 
 The executable lines of each src/qsodyn/*.py are the first lines of its `ast` statements,
 docstrings excepted. The script prints every executable line that no test ran and that
@@ -98,7 +99,8 @@ def run_tests(tmp: Path) -> tuple[int, set[tuple[str, int]]]:
     env = dict(os.environ, QSODYN_LINECOV_OUT=str(out), PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "linecov",
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "-p", "linecov",
          "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"), str(ROOT / "tests")],
         cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     if done.returncode:

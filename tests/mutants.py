@@ -118,6 +118,9 @@ MUTANTS = (
     Mutant("a < branch leaves its bound to the >= branch", "src/qsodyn/dynamics.py",
            '"<": operator.lt', '"<": operator.le',
            ("tests/test_dynamics.py::TestLimitTable",), "killed"),
+    Mutant("a point verdict is confirmed by the next iterate", "src/qsodyn/dynamics.py",
+           "done[done] = np.abs(apply_array(T, nxt[done]) - p1[done]).sum(axis=1) <= tol",
+           "pass", ("tests/test_dynamics.py::TestTargetSwap",), "killed"),
 )
 
 

@@ -714,6 +714,31 @@ class TestVerifier:
                 assert per2.min_l1_distance(arr) > 1e-9
 
 
+# Every (operator, a) whose branches all have vertex targets, and the four vertex target sets.
+_VERTEX_TARGET_PARAMS = [(13, 0.2), (13, 0.8), (4, 0.8), (28, 0.3), (28, 0.7), (25, 0.2),
+                         (25, 0.8), (28, 0.5), (25, 0.5)]
+_VERTEX_TARGETS = [(E1,), (E2,), (E3,), (E2, E3)]
+
+
+class TestTargetSwap:
+    # An edge orbit that tends to the 2-cycle {e2, e3} passes near e2 and e3 in turn:
+    # a wrong point prediction of either vertex must still fail.
+    @pytest.mark.parametrize("op_id,a", _VERTEX_TARGET_PARAMS)
+    def test_only_the_true_targets_pass(self, op_id, a):
+        (report,) = verify_predictions(op_id, (a,), seeds=5)
+        T = operator_tensor(op_id, a)
+        for branch, case in zip(_limit_table(op_id, a).branches, report.cases):
+            steps, _ = _run_case(T, case.x0, branch.kind, case.predicted, 1e-6, 2000)
+            assert (steps > 0).all(), branch.label
+            for targets in _VERTEX_TARGETS:
+                if targets == branch.targets:
+                    continue
+                P = np.broadcast_to([t.coords for t in targets], (len(case.x0), len(targets), 3))
+                kind = "cycle" if len(targets) == 2 else "point"
+                steps, _ = _run_case(T, case.x0, kind, P, 1e-6, 2000)
+                assert (steps < 0).any(), (branch.label, branch.target_text, targets)
+
+
 # Every (operator, regime) whose table carries predictions; operator 4 has
 # none below 1/2.
 PREDICTED = [(op_id, a) for op_id in ANALYZED_OPS for a in (0.2, 0.5, 0.8)
