@@ -51,7 +51,7 @@ print("\ngenuine 2-cycles of operator 28 at a = 0.3:",
 print("\nverification runs (100 seeded orbits per case):")
 for op_id, a_values in ((13, (0.2, 0.8)), (4, (0.8,)), (28, (0.3,)), (25, (0.5,))):
     for report in verify_predictions(op_id, a_values, seeds=100):
-        worst = max(v.distance for c in report.cases for v in c.verdicts)
+        worst = max(c.distance.max() for c in report.cases)
         print(f"  operator {op_id}, a = {report.a}: "
               f"{'pass' if report.passed else 'FAIL'} "
               f"(worst final distance {worst:.2e})")

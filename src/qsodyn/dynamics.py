@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -760,7 +760,7 @@ class PointVerdict:
 _POINT_KEYS = ("index", "x0", "predicted", "kind", "steps", "distance", "passed")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class CaseResult:
     """One verification case, its per-point results held as columns: the starts
     `x0` (n, 3), their k predicted points `predicted` (n, k, 3), `steps` (int64,
@@ -774,35 +774,31 @@ class CaseResult:
     label: str
     tol: float
     max_iter: int
-    kind: str
-    x0: np.ndarray
-    predicted: np.ndarray
-    steps: np.ndarray
-    distance: np.ndarray
+    point_verdicts: InitVar[Optional[Sequence[PointVerdict]]] = None
+    kind: str = field(default="point", kw_only=True)
+    x0: np.ndarray = field(default=(), kw_only=True)
+    predicted: np.ndarray = field(default=(), kw_only=True)
+    steps: np.ndarray = field(default=(), kw_only=True)
+    distance: np.ndarray = field(default=(), kw_only=True)
 
-    def __init__(self, label: str, tol: float, max_iter: int,
-                 verdicts: Optional[Sequence[PointVerdict]] = None, *, kind: str = "point",
-                 x0=(), predicted=(), steps=(), distance=()):
-        if verdicts is not None:
-            verdicts = tuple(verdicts)
-            kind = verdicts[0].prediction_kind if verdicts else kind
-            if any((v.index, v.prediction_kind, v.passed) != (i, kind, v.steps is not None)
+    def __post_init__(self, point_verdicts):
+        if point_verdicts is not None:
+            verdicts = tuple(point_verdicts)
+            object.__setattr__(self, "kind", verdicts[0].prediction_kind if verdicts else self.kind)
+            if any((v.index, v.prediction_kind, v.passed) != (i, self.kind, v.steps is not None)
                    for i, v in enumerate(verdicts)):
                 raise ValueError("verdicts must be numbered 0..n-1, share one kind "
                                  "and pass exactly when they have steps")
-            x0, predicted, distance = ([getattr(v, name) for v in verdicts]
-                                       for name in ("x0", "predicted", "distance"))
-            steps = [-1 if v.steps is None else v.steps for v in verdicts]
-        columns = {name: np.asarray(values, dtype=dtype).view() for name, values, dtype in (
-            ("x0", x0, np.float64), ("predicted", predicted, np.float64),
-            ("steps", steps, np.int64), ("distance", distance, np.float64))}
+            for name in ("x0", "predicted", "steps", "distance"):
+                object.__setattr__(self, name, [getattr(v, name) for v in verdicts])
+            object.__setattr__(self, "steps", [-1 if s is None else s for s in self.steps])
+        columns = {name: np.asarray(getattr(self, name), dtype=dtype).view() for name, dtype in (
+            ("x0", float), ("predicted", float), ("steps", np.int64), ("distance", float))}
         if len(set(map(len, columns.values()))) != 1:
             raise ValueError("the columns of a case must share one length")
-        for column in columns.values():  # views, so the caller's arrays stay writable
+        for name, column in columns.items():  # views, so the caller's arrays stay writable
             column.flags.writeable = False
-        for name, value in dict(label=label, tol=tol, max_iter=max_iter, kind=kind,
-                                **columns).items():
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, column)
 
     @property
     def passed(self) -> bool:

@@ -73,12 +73,11 @@ def _is_array(value) -> bool:
 
 def dumps(obj) -> str:
     """JSON text of obj in one pass; each container's text is joined once."""
-    return _render(obj, "\n", {})
+    return _render(obj, "\n")
 
 
-def _render(obj, pad: str, keys: dict[str, str]) -> str:
-    """obj as JSON text. pad is the line break and indent of obj's last line;
-    keys caches the quoted text of each dict key."""
+def _render(obj, pad: str) -> str:
+    """obj as JSON text. pad is the line break and indent of obj's last line."""
     kind = type(obj)
     if kind not in _TYPES:  # a subclass such as numpy.float64 follows its base type's rule
         kind = next((base for base in _TYPES if isinstance(obj, base)), kind)
@@ -90,18 +89,17 @@ def _render(obj, pad: str, keys: dict[str, str]) -> str:
     if kind is int:
         return str(obj)
     if kind is dict:
-        _quote_keys(obj, keys)
-        heads, values, brackets = [keys[key] for key in obj], obj.values(), "{}"
+        heads, values, brackets = map(_head, obj), obj.values(), "{}"
     elif kind is list or kind is tuple:
         if obj and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            return "[" + ", ".join([_render(v, pad, keys) for v in obj]) + "]"
+            return "[" + ", ".join([_render(v, pad) for v in obj]) + "]"
         heads, values, brackets = [""] * len(obj), obj, "[]"
     elif kind is str:
         return _quote(obj)
     elif kind is bool or obj is None:
         return _CONSTANTS[obj]
     elif kind is Records:
-        return _records(obj, pad, keys) if len(obj) else "[]"
+        return _records(obj, pad) if len(obj) else "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
     if not values:
@@ -109,37 +107,35 @@ def _render(obj, pad: str, keys: dict[str, str]) -> str:
     inner = pad + "  "
     parts = []  # one join per container, so each value's text is copied once
     for head, value in zip(heads, values):
-        parts += (",", inner, head, _render(value, inner, keys))
+        parts += (",", inner, head, _render(value, inner))
     parts[0] = brackets[0]
     parts += (pad, brackets[1])
     return "".join(parts)
 
 
-def _quote_keys(names, keys: dict[str, str]) -> None:
-    for key in set(names) - keys.keys():
-        keys[key] = _quote(key) + ": "  # _quote raises TypeError on a key that is no str
+def _head(key) -> str:
+    return _quote(key) + ": "  # _quote raises TypeError on a key that is no str
 
 
-def _records(records: Records, pad: str, keys: dict[str, str]) -> str:
+def _records(records: Records, pad: str) -> str:
     """Text of one or more records with at least one key: each record is one
     `%` of a template that holds the quoted keys, filled from per-column texts
     made one block of rows at a time."""
-    _quote_keys(records.keys, keys)
     inner = pad + "  "
     field = inner + "  "
     template = "{" + ",".join(
-        field + keys[key].replace("%", "%%") + "%s" for key in records.keys) + inner + "}"
+        field + _head(key).replace("%", "%%") + "%s" for key in records.keys) + inner + "}"
     sep = "," + inner
     parts = ["[", inner]
     for start in range(0, len(records), _BLOCK):
-        texts = [_column(column[start:start + _BLOCK], field, keys) for column in records.columns]
+        texts = [_column(column[start:start + _BLOCK], field) for column in records.columns]
         parts += (sep.join(map(template.__mod__, zip(*texts))), sep)
     parts[-1] = pad  # in place of the separator after the last block
     parts.append("]")
     return "".join(parts)
 
 
-def _column(values, pad: str, keys: dict[str, str]):
+def _column(values, pad: str):
     """The texts of one field's values: a float64 array by its shape, any other
     column by the exact types found in it, or value by value."""
     if _is_array(values):
@@ -154,7 +150,7 @@ def _column(values, pad: str, keys: dict[str, str]):
         return map(_quote, values)
     if kinds <= {bool, type(None)}:
         return map(_CONSTANTS.__getitem__, values)
-    return [_render(value, pad, keys) for value in values]
+    return [_render(value, pad) for value in values]
 
 
 def _cell_format(shape: tuple, pad: str) -> str:

@@ -6,7 +6,7 @@ the usual index-set convention I = {1..m}.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 

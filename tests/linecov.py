@@ -1,4 +1,4 @@
-"""Line coverage of src/qsodyn under the tier-1 tests, with a table of lines allowed to go unrun.
+"""Line coverage of src/qsodyn under the tier-1 tests: every executable line must run.
 
 Run from anywhere: `python tests/linecov.py`. The tests under tests/ run in one
 `python -m pytest -q --continue-on-collection-errors -p no:cacheprovider -p linecov tests`
@@ -10,9 +10,8 @@ JSON tests raise one, makes CPython switch tracing off until the next test. Line
 in the child processes that tests start (CLI runs as scripts) are not seen.
 
 The executable lines of each src/qsodyn/*.py are the first lines of its `ast` statements,
-docstrings excepted. The script prints every executable line that no test ran and that
-ALLOWED does not name, every ALLOWED line that did run, and a failing pytest run, and
-exits 1 if there is any. It writes only to a temporary directory.
+docstrings excepted. The script prints every executable line that no test ran, and a
+failing pytest run, and exits 1 if there is any. It writes only to a temporary directory.
 
 The file name does not match test_*.py, so the tier-1 suite does not collect it.
 """
@@ -31,9 +30,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qsodyn"
 TIMEOUT_S = 1800
-
-#: (file in src/qsodyn, stripped source line) -> why no tier-1 test runs it in-process.
-ALLOWED: dict[tuple[str, str], str] = {}
 
 # ---------------------------------------------------------------------------
 # The plugin, inside each pytest process
@@ -117,18 +113,10 @@ def main() -> int:
     if code:
         problems.append(f"pytest exited {code}")
     print(f"tests: {time.perf_counter() - start:.1f} s", flush=True)
-    unused = dict(ALLOWED)
-    for path in sorted(PACKAGE.glob("*.py")):
-        for line, text in executable_lines(path).items():
-            reason = unused.pop((path.name, text), None)
-            ran = (path.name, line) in hits
-            if reason is None and not ran:
-                problems.append(f"{path.name}:{line} never runs: {text}")
-            elif reason is not None and ran:
-                problems.append(f"{path.name}:{line} is allowed to go unrun ({reason}) "
-                                f"but runs: {text}")
-    problems += [f"{name}: no executable line reads {text!r}" for name, text in unused]
-    print("\n".join(problems) or "every executable line runs, apart from the allowed ones")
+    problems += [f"{path.name}:{line} never runs: {text}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, text in executable_lines(path).items() if (path.name, line) not in hits]
+    print("\n".join(problems) or "every executable line runs")
     return 1 if problems else 0
 
 

@@ -121,6 +121,17 @@ MUTANTS = (
     Mutant("a point verdict is confirmed by the next iterate", "src/qsodyn/dynamics.py",
            "done[done] = np.abs(apply_array(T, nxt[done]) - p1[done]).sum(axis=1) <= tol",
            "pass", ("tests/test_dynamics.py::TestTargetSwap",), "killed"),
+    Mutant("a 2-cycle needs the one-step residual above 10 tol", "src/qsodyn/dynamics.py",
+           "done = fixed | ((d[:, 1] <= tol) & (d[:, 0] > 10.0 * tol))",
+           "done = fixed | (d[:, 1] <= tol)",
+           ("tests/test_dynamics.py::TestOmegaLimitMatchesReference",), "killed"),
+    Mutant("a case's columns are read-only", "src/qsodyn/dynamics.py",
+           "            column.flags.writeable = False\n", "",
+           ("tests/test_dynamics.py::TestCaseColumns",), "killed"),
+    Mutant("verdicts must be numbered and consistent", "src/qsodyn/dynamics.py",
+           '''            if any((v.index, v.prediction_kind, v.passed) != (i, self.kind, v.steps is not None)
+                   for i, v in enumerate(verdicts)):''',
+           "            if False:", ("tests/test_dynamics.py::TestCaseColumns",), "killed"),
 )
 
 
