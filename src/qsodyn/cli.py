@@ -248,10 +248,9 @@ def _cmd_simulate(args) -> int:
             raise UsageError("--seed needs a tensor with m >= 2")
         points = simplex.sample(T.m, args.seed, args.count or 1)
     balanced = "a" in source and dynamics.regime(source["a"]) == "balanced"
-    tol = args.tol if args.tol is not None else (
-        dynamics.BALANCED_TOL if balanced else dynamics.DEFAULT_TOL)
-    max_iter = args.max_iter if args.max_iter is not None else (
-        dynamics.BALANCED_MAX_ITER if balanced else dynamics.DEFAULT_MAX_ITER)
+    tol, max_iter = dynamics.SIMULATE_BUDGET[balanced]
+    tol = tol if args.tol is None else args.tol
+    max_iter = max_iter if args.max_iter is None else args.max_iter
     if args.format == "csv":
         if len(points) != 1:
             raise UsageError("CSV export needs exactly one trajectory")

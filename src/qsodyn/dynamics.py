@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,13 +39,10 @@ CYCLE_PARAM_SUP = (2.0 - math.sqrt(3.0)) / 2.0
 #: does not start on those sets.
 EXCLUSION_RADIUS = 1e-9
 
-# Default stopping tolerances. Hyperbolic parameters contract geometrically;
-# at a = 1/2 the approach to the limit families can be sub-geometric, so the
-# budget is larger and the tolerance looser.
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10 ** 5
-BALANCED_TOL = 1e-6
-BALANCED_MAX_ITER = 10 ** 6
+# Simulation defaults (tol, max_iter), keyed by regime(a) == "balanced": at a = 1/2 orbits
+# can approach the limit families sub-geometrically, so the budget is larger and tol looser.
+SIMULATE_BUDGET = {False: (1e-9, 10 ** 5), True: (1e-6, 10 ** 6)}
+DEFAULT_TOL, DEFAULT_MAX_ITER = SIMULATE_BUDGET[False]
 
 # Verification defaults (tol, max_iter), keyed by whether the target is a curve family.
 VERIFY_BUDGET = {False: (1e-6, 10 ** 5), True: (1e-4, 10 ** 6)}
@@ -765,33 +762,20 @@ class CaseResult:
     """One verification case, its per-point results held as columns: the starts
     `x0` (n, 3), their k predicted points `predicted` (n, k, 3), `steps` (int64,
     -1 where undecided) and the final `distance`, all of prediction kind `kind`.
-
-    `CaseResult(label, tol, max_iter, verdicts)` builds the columns from
-    `PointVerdict`s numbered 0..n-1; `verify_predictions` passes the columns.
     Two cases are equal when their label, budget and verdicts are.
     """
 
     label: str
     tol: float
     max_iter: int
-    point_verdicts: InitVar[Optional[Sequence[PointVerdict]]] = None
-    kind: str = field(default="point", kw_only=True)
-    x0: np.ndarray = field(default=(), kw_only=True)
-    predicted: np.ndarray = field(default=(), kw_only=True)
-    steps: np.ndarray = field(default=(), kw_only=True)
-    distance: np.ndarray = field(default=(), kw_only=True)
+    _: KW_ONLY
+    kind: str
+    x0: np.ndarray
+    predicted: np.ndarray
+    steps: np.ndarray
+    distance: np.ndarray
 
-    def __post_init__(self, point_verdicts):
-        if point_verdicts is not None:
-            verdicts = tuple(point_verdicts)
-            object.__setattr__(self, "kind", verdicts[0].prediction_kind if verdicts else self.kind)
-            if any((v.index, v.prediction_kind, v.passed) != (i, self.kind, v.steps is not None)
-                   for i, v in enumerate(verdicts)):
-                raise ValueError("verdicts must be numbered 0..n-1, share one kind "
-                                 "and pass exactly when they have steps")
-            for name in ("x0", "predicted", "steps", "distance"):
-                object.__setattr__(self, name, [getattr(v, name) for v in verdicts])
-            object.__setattr__(self, "steps", [-1 if s is None else s for s in self.steps])
+    def __post_init__(self):
         columns = {name: np.asarray(getattr(self, name), dtype=dtype).view() for name, dtype in (
             ("x0", float), ("predicted", float), ("steps", np.int64), ("distance", float))}
         if len(set(map(len, columns.values()))) != 1:

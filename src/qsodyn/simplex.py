@@ -29,20 +29,12 @@ class SimplexPoint:
 
     __slots__ = ("_coords",)
 
-    @np.errstate(over="ignore")  # a sum that overflows is inf, which is rejected
     def __init__(self, coords: Iterable[float]):
         arr = np.array(list(coords) if not isinstance(coords, np.ndarray) else coords,
                        dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coordinates must form a nonempty 1-d vector")
-        low = arr.min()
-        if low < -NEG_TOL:
-            raise ValueError(f"negative coordinate {low} below -{NEG_TOL}")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        s = arr.sum()
-        if not abs(s - 1.0) <= SUM_TOL:  # also rejects NaN
-            raise ValueError(f"coordinate sum {s} deviates from 1 by more than {SUM_TOL}")
-        arr = arr / s
+        arr = simplex_rows(arr)
         arr.flags.writeable = False
         self._coords = arr
 
@@ -91,12 +83,17 @@ class SimplexPoint:
 
 @np.errstate(over="ignore")  # a sum that overflows is inf, which is rejected
 def simplex_rows(X: np.ndarray) -> np.ndarray:
-    """The rows of X (..., m) as `SimplexPoint` stores them, bit for bit; raises
-    ValueError if the constructor would reject a row."""
+    """The rows of X (..., m) by the rule `SimplexPoint` applies; a ValueError names the
+    lowest coordinate or the sum of the worst row, where NaN counts as worst."""
+    low = X.min()
+    if low < -NEG_TOL:
+        raise ValueError(f"negative coordinate {low} below -{NEG_TOL}")
     Y = np.where(X < 0.0, 0.0, X)
     s = Y.sum(axis=-1)
-    if not (X.min() >= -NEG_TOL and np.abs(s - 1.0).max() <= SUM_TOL):  # NaN fails too
-        raise ValueError("rows must be simplex points up to roundoff")
+    defect = np.abs(s - 1.0)
+    if not defect.max() <= SUM_TOL:  # also rejects NaN
+        worst = np.reshape(s, -1)[np.argmax(defect)]
+        raise ValueError(f"coordinate sum {worst} deviates from 1 by more than {SUM_TOL}")
     return Y / s[..., None]
 
 

@@ -80,6 +80,10 @@ MUTANTS = (
            "VERIFY_BUDGET = {False: (1e-6, 10 ** 5), True: (1e-4, 10 ** 6)}",
            "VERIFY_BUDGET = {True: (1e-6, 10 ** 5), False: (1e-4, 10 ** 6)}",
            ("tests/test_cli.py::TestVerifyDigests",), "killed"),
+    Mutant("simulate at a = 1/2 takes the balanced budget", "src/qsodyn/dynamics.py",
+           "SIMULATE_BUDGET = {False: (1e-9, 10 ** 5), True: (1e-6, 10 ** 6)}",
+           "SIMULATE_BUDGET = {True: (1e-9, 10 ** 5), False: (1e-6, 10 ** 6)}",
+           ("tests/test_cli.py::TestSimulateDigests",), "killed"),
     Mutant("JSON refuses non-finite floats", "src/qsodyn/jsonio.py",
            'if "n" in text:', "if False:", ("tests/test_jsonio.py",), "killed"),
     Mutant("partition size is a count", "src/qsodyn/catalog.py",
@@ -128,10 +132,6 @@ MUTANTS = (
     Mutant("a case's columns are read-only", "src/qsodyn/dynamics.py",
            "            column.flags.writeable = False\n", "",
            ("tests/test_dynamics.py::TestCaseColumns",), "killed"),
-    Mutant("verdicts must be numbered and consistent", "src/qsodyn/dynamics.py",
-           '''            if any((v.index, v.prediction_kind, v.passed) != (i, self.kind, v.steps is not None)
-                   for i, v in enumerate(verdicts)):''',
-           "            if False:", ("tests/test_dynamics.py::TestCaseColumns",), "killed"),
 )
 
 

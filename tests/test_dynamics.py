@@ -1,7 +1,6 @@
 """Tests for orbits, closed forms, exact limit sets, the numeric oracle,
 and the limit-prediction verifier."""
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -21,7 +20,6 @@ from qsodyn.dynamics import (
     CurveFamily,
     Outcome,
     PointSet,
-    PointVerdict,
     TrajectoryReport,
     VerificationReport,
     _edge_points,
@@ -667,9 +665,7 @@ class TestClassPartnersHaveRelabeledOrbits:
         V, W = operator_tensor(rep, a), operator_tensor(partner, a)
         p = are_conjugate(V, W)
         assert p is not None
-        balanced = regime(a) == "balanced"
-        tol = dynamics.BALANCED_TOL if balanced else dynamics.DEFAULT_TOL
-        max_iter = dynamics.BALANCED_MAX_ITER if balanced else dynamics.DEFAULT_MAX_ITER
+        tol, max_iter = dynamics.SIMULATE_BUDGET[regime(a) == "balanced"]
         X = np.array([x.coords for x in sample(3, 11, 200)])
         reps = omega_limits(V, X, tol, max_iter)
         for r, s in zip(reps, omega_limits(W, p.permute_vector(X), tol, max_iter), strict=True):
@@ -1049,7 +1045,7 @@ class TestOmegaLimitMatchesReference:
     @pytest.mark.parametrize("op_id,a,x0", _ORBIT_STARTS)
     def test_reports_equal(self, op_id, a, x0):
         T = operator_tensor(op_id, a)
-        tol = 1e-6 if a == 0.5 else 1e-9  # the simulate defaults
+        tol = dynamics.SIMULATE_BUDGET[regime(a) == "balanced"][0]
         for max_iter in (1, 2, 100, 101, 126, 127, 128, 10 ** 5):
             got = omega_limit(T, x0, tol=tol, max_iter=max_iter).to_json_dict()
             assert got == _omega_limit_reference(T, x0, tol, max_iter).to_json_dict()
@@ -1058,7 +1054,7 @@ class TestOmegaLimitMatchesReference:
         # Some orbits must run past step 128, so the kept steps 101, 127 and
         # 159 and the final step are all compared above.
         steps = [omega_limit(operator_tensor(op_id, a), x0,
-                             tol=1e-6 if a == 0.5 else 1e-9).steps
+                             tol=dynamics.SIMULATE_BUDGET[regime(a) == "balanced"][0]).steps
                  for op_id, a, x0 in _ORBIT_STARTS]
         assert max(steps) > 390 and min(steps) == 1
         assert sum(s > 128 for s in steps) >= 6
@@ -1143,7 +1139,7 @@ def _starts_reference(op_id, a, seeds, base_seed):
 
 
 def _report_reference(op_id, a, starts, base_seed, max_iter):
-    """The verdicts the per-point loop built from `starts` (a prefix of
+    """The cases the per-point loop built from `starts` (a prefix of
     `_starts_reference`), as a VerificationReport."""
     table = _limit_table(op_id, a, covered=True)
     T = operator_tensor(op_id, a)
@@ -1151,18 +1147,9 @@ def _report_reference(op_id, a, starts, base_seed, max_iter):
     for branch, (xs, targets) in zip(table.branches, starts):
         tol = 1e-4 if branch.continuum else 1e-6
         steps, dists = _run_case(T, xs, branch.kind, targets, tol, max_iter)
-        verdicts = tuple(
-            PointVerdict(
-                index=i,
-                x0=tuple(float(v) for v in xs[i]),
-                predicted=tuple(p.as_tuple() for p in targets[i]),
-                prediction_kind=branch.kind,
-                steps=int(steps[i]) if steps[i] >= 0 else None,
-                distance=float(dists[i]),
-                passed=bool(steps[i] >= 0),
-            )
-            for i in range(len(xs)))
-        cases.append(CaseResult(branch.label, tol, max_iter, verdicts))
+        predicted = [[p.coords for p in pts] for pts in targets]
+        cases.append(CaseResult(branch.label, tol, max_iter, kind=branch.kind, x0=xs,
+                                predicted=predicted, steps=steps, distance=dists))
     return VerificationReport(op_id, float(a), len(starts[0][0]), base_seed, tuple(cases))
 
 
@@ -1198,13 +1185,20 @@ class TestBatchedStartsMatchReference:
                 assert drawn.tobytes() == chunk[branch.holds(chunk)][:30].tobytes()
 
 
+# One start at e1 that reached its predicted fixed point e1 in 3 steps.
+_ONE_POINT = {"kind": "point", "x0": [[1.0, 0.0, 0.0]], "predicted": [[[1.0, 0.0, 0.0]]],
+              "steps": [3], "distance": [0.0]}
+
+
 class TestCaseColumns:
     # max_iter = 16 mixes passed and undecided orbits, as in TestBatchedStartsMatchReference.
     @pytest.mark.parametrize("op_id,a", PREDICTED)
     def test_rebuilt_from_verdicts(self, op_id, a):
         (got,) = verify_predictions(op_id, (a,), seeds=40, base_seed=7, max_iter=16)
         rebuilt = VerificationReport(got.op_id, got.a, got.seeds, got.base_seed, tuple(
-            CaseResult(c.label, c.tol, c.max_iter, c.verdicts) for c in got.cases))
+            CaseResult(c.label, c.tol, c.max_iter, kind=c.kind, **{
+                name: getattr(c, name).copy() for name in ("x0", "predicted", "steps", "distance")
+            }) for c in got.cases))
         assert rebuilt.to_json_dict() == got.to_json_dict()
         assert dumps(rebuilt.to_json_dict()) == dumps(got.to_json_dict())
         assert rebuilt == got and rebuilt.passed == got.passed
@@ -1234,22 +1228,12 @@ class TestCaseColumns:
             with pytest.raises(ValueError):
                 column[0] = 0
 
-    @pytest.mark.parametrize("change", [
-        {"index": 2}, {"prediction_kind": "cycle"}, {"passed": False}, {"steps": None}])
-    def test_rejects_inconsistent_verdicts(self, change):
-        first = PointVerdict(0, (1.0, 0.0, 0.0), ((1.0, 0.0, 0.0),), "point", 3, 0.0, True)
-        second = dataclasses.replace(first, index=1)
-        assert CaseResult("c", 1e-6, 10, (first, second)).passed
-        with pytest.raises(ValueError):
-            CaseResult("c", 1e-6, 10, (first, dataclasses.replace(second, **change)))
-
     def test_rejects_columns_of_different_lengths(self):
         with pytest.raises(ValueError, match="^the columns of a case must share one length$"):
-            CaseResult("c", 1e-6, 10, x0=[[1, 0, 0]], steps=[])
+            CaseResult("c", 1e-6, 10, **{**_ONE_POINT, "steps": []})
 
     def test_equal_cases_hash_equal(self):
-        first = PointVerdict(0, (1.0, 0.0, 0.0), ((1.0, 0.0, 0.0),), "point", 3, 0.0, True)
-        one, two = (CaseResult("c", 1e-6, 10, (first,)) for _ in range(2))
+        one, two = (CaseResult("c", 1e-6, 10, **_ONE_POINT) for _ in range(2))
         assert one is not two and hash(one) == hash(two) and len({one, two}) == 1
 
     def test_cli_verify_builds_no_verdicts(self, capsys, monkeypatch):
@@ -1326,10 +1310,11 @@ class TestBatchedDistanceMatchesOnePoint:
                        np.array([[-1e-13, 0.5, 0.5 + 1e-13], [-0.0, 0.25, 0.75]])])
         want = np.array([SimplexPoint(x).coords for x in X])
         assert simplex_rows(X).tobytes() == want.tobytes()
+        # A bad row among good ones draws the message the constructor gives for it alone.
         for bad in ([[-1e-11, 0.5, 0.5]], [[0.2, 0.3, 0.5 + 1e-8]], [[math.nan, 0.5, 0.5]]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as alone:
                 SimplexPoint(bad[0])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
                 simplex_rows(np.vstack([want[:3], bad]))
 
 

@@ -16,8 +16,8 @@ import test_dynamics
 from test_dynamics import _omega_limit_reference
 from qsodyn.catalog import operator_tensor
 from qsodyn.dynamics import (
-    BALANCED_MAX_ITER, BALANCED_TOL, DEFAULT_MAX_ITER, DEFAULT_TOL, _limit_table, omega_limit,
-    omega_limits, trajectory_csv)
+    DEFAULT_MAX_ITER, DEFAULT_TOL, SIMULATE_BUDGET, _limit_table, omega_limit, omega_limits,
+    regime, trajectory_csv)
 from qsodyn.operators import apply_array
 from qsodyn.simplex import SimplexPoint, sample, sample_with_rng, vertex
 
@@ -96,7 +96,7 @@ _BENCHMARK_PAIRS = [(13, 0.45), (28, 0.3), (25, 0.55), (4, 0.5), (13, 0.5)]
 
 def _simulate_budget(a):
     """The `simulate` defaults: (tol, max_iter)."""
-    return (BALANCED_TOL, BALANCED_MAX_ITER) if a == 0.5 else (DEFAULT_TOL, DEFAULT_MAX_ITER)
+    return SIMULATE_BUDGET[regime(a) == "balanced"]
 
 
 def _assert_matches_reference(T, starts, tol, budgets, rerun_every=1):
@@ -150,7 +150,7 @@ class TestBatchedOrbitsMatchReference:
 
     @pytest.mark.parametrize("op_id,a,x0,max_iter", [
         (13, 0.45, SimplexPoint((0.3, 0.4, 0.3)), DEFAULT_MAX_ITER),
-        (4, 0.5, sample(3, 1, 2)[1], BALANCED_MAX_ITER),  # a 2-cycle found at step 509
+        (4, 0.5, sample(3, 1, 2)[1], SIMULATE_BUDGET[True][1]),  # a 2-cycle found at step 509
         (28, 0.3, SimplexPoint((0.0, 0.9, 0.1)), DEFAULT_MAX_ITER),
         (13, 0.2, SimplexPoint((0.3, 0.4, 0.3)), 20),  # undecided (it needs 26 steps)
     ])
