@@ -1232,6 +1232,12 @@ class TestCaseColumns:
         with pytest.raises(ValueError, match="^the columns of a case must share one length$"):
             CaseResult("c", 1e-6, 10, **{**_ONE_POINT, "steps": []})
 
+    @pytest.mark.parametrize("column", ["x0", "predicted", "steps", "distance"])
+    def test_rejects_one_column_a_row_longer(self, column):
+        longer = _ONE_POINT[column] * 2
+        with pytest.raises(ValueError, match="^the columns of a case must share one length$"):
+            CaseResult("c", 1e-6, 10, **{**_ONE_POINT, column: longer})
+
     def test_equal_cases_hash_equal(self):
         one, two = (CaseResult("c", 1e-6, 10, **_ONE_POINT) for _ in range(2))
         assert one is not two and hash(one) == hash(two) and len({one, two}) == 1
