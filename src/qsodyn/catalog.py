@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .operators import HeredityTensor
 from .permutations import Permutation
-from .rules import ZERO_TOL, require_count, require_tol, require_within
+from .rules import ZERO_TOL, Frozen, require_count, require_tol, require_within
 
 #: Catalog ids whose limit behavior has closed-form predictions (in `dynamics`).
 ANALYZED_OPS = (4, 13, 25, 28)
@@ -45,8 +44,7 @@ def _entry_codes(off_diag: str, diag: str) -> tuple[int, ...]:
 _CODES = tuple(_entry_codes(off, diag) for off in _OFF_DIAG_CODES for diag in _DIAG_CODES)
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Frozen):
     """Catalog coordinates: off-diagonal case, diagonal case, parameter a."""
 
     case_one: int
@@ -86,8 +84,7 @@ def operator_tensor(op_id: int, a: float) -> HeredityTensor:
 # Partitions of the coupled pair set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairPartition:
+class PairPartition(Frozen):
     """A partition of the coupled pairs {(i, j): i < j} of {1..m}."""
 
     m: int
@@ -142,14 +139,12 @@ def _row_support(row: Sequence[float], tol: float) -> frozenset[int]:
     return frozenset(k for k, v in enumerate(row, start=1) if v > tol)
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class StructureViolation(Frozen):
     kind: str  # "within_block" | "across_blocks" | "diagonal_not_vertex" | "diagonal_duplicate"
     detail: str
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Frozen):
     passed: bool
     violations: tuple[StructureViolation, ...]
     diagonal_permutation: Optional[Permutation]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import KW_ONLY, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .operators import HeredityTensor, apply, apply_array
 from .catalog import ANALYZED_OPS, operator_tensor
 from .jsonio import Records
-from .rules import ZERO_TOL, require_count, require_positive, require_tol, require_within
+from .rules import ZERO_TOL, Frozen, require_count, require_positive, require_tol, require_within
 from .simplex import SimplexPoint, sample_with_rng, simplex_rows, vertex
 
 #: Supremum of the slice parameter carrying genuine 2-cycles for operator 4
@@ -89,8 +88,7 @@ def regime(a: float) -> str:
     return "below" if a < 0.5 else "above"
 
 
-@dataclass(frozen=True)
-class ScalarMapReport:
+class ScalarMapReport(Frozen):
     a: float
     grid_size: int
     orbits_converged: bool
@@ -141,16 +139,14 @@ def iterate(T: HeredityTensor, x0: SimplexPoint, n: int) -> list[SimplexPoint]:
     return out
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Frozen):
     """Orbit classification: a fixed point, a 2-cycle, or undecided."""
 
     kind: str  # "fixed_point" | "two_cycle" | "undecided"
     points: tuple[SimplexPoint, ...]
 
 
-@dataclass(frozen=True)
-class TrajectoryReport:
+class TrajectoryReport(Frozen):
     """One orbit; each kept iterate is (step, float tuple), rounded as `SimplexPoint` rounds."""
 
     initial: tuple[float, ...]
@@ -296,8 +292,7 @@ def edge_fixed_height(a: float) -> float:
 # Exact limit sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveFamily:
+class CurveFamily(Frozen):
     """A one-parameter family of simplex points, e.g. a curve of fixed points.
 
     `coords` maps n parameters in [lo, hi] to the (n, 3) array of their
@@ -328,8 +323,7 @@ class CurveFamily:
         return [SimplexPoint(p) for p in self.coords(ts[keep])]
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """A finite point set, possibly extended by parametric curve families."""
 
     points: tuple[SimplexPoint, ...] = ()
@@ -431,8 +425,7 @@ _RELATIONS = {"!=": operator.gt, "=": operator.le, ">": operator.gt, "<=": opera
               "<": operator.lt, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(Frozen):
     """One case of a limit analysis: orbits starting where x_i(0) <relation> <bound>
     holds converge to the point or unordered 2-cycle of `targets`, each a point or
     a curve taken at the parameter x1(0). Verification draws interior starts, or
@@ -475,8 +468,7 @@ class _Branch:
                          else np.broadcast_to(t.coords, X.shape) for t in self.targets], axis=1)
 
 
-@dataclass(frozen=True)
-class _LimitTable:
+class _LimitTable(Frozen):
     """Exact fixed and 2-periodic sets of one (operator, regime), plus the
     case branches for every other start, in verification order."""
 
@@ -563,7 +555,8 @@ def _limit_table(op_id: int, a: float, covered: bool = False) -> _LimitTable:
         raise ValueError(f"operator {op_id} has no covered limit prediction for a < 1/2")
     if op_id == 28:
         edge_fixed = SimplexPoint(_edge_points(0, edge_fixed_height(a)))
-        table = replace(table, fixed=PointSet(points=table.fixed.points + (edge_fixed,)))
+        table = _LimitTable(PointSet(table.fixed.points + (edge_fixed,)), table.periodic2,
+                            table.branches)
     return table
 
 
@@ -667,8 +660,7 @@ def _edge_roots(T: HeredityTensor, refine_tol: float) -> np.ndarray:
 # Regions of the 2-simplex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionTag:
+class RegionTag(Frozen):
     """Most specific region of the 2-simplex containing a point.
 
     kind is one of "vertex", "edge" (x_index = 0), "line13" (x1 = x3), or
@@ -710,8 +702,7 @@ def region_classify(x: SimplexPoint, tol: float = ZERO_TOL) -> RegionTag:
 # Limit predictions and verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimitPrediction:
+class LimitPrediction(Frozen):
     """Predicted omega-limit of one orbit: a point or an unordered 2-cycle."""
 
     kind: str  # "point" | "cycle"
@@ -743,8 +734,7 @@ def limit_prediction(op_id: int, a: float, x0: SimplexPoint) -> LimitPrediction:
                            f"{branch.label} -> {branch.target_text}")
 
 
-@dataclass(frozen=True)
-class PointVerdict:
+class PointVerdict(Frozen):
     index: int
     x0: tuple[float, ...]
     predicted: tuple[tuple[float, ...], ...]
@@ -757,8 +747,7 @@ class PointVerdict:
 _POINT_KEYS = ("index", "x0", "predicted", "kind", "steps", "distance", "passed")
 
 
-@dataclass(frozen=True, eq=False)
-class CaseResult:
+class CaseResult(Frozen, positional=3):
     """One verification case, its per-point results held as columns: the starts
     `x0` (n, 3), their k predicted points `predicted` (n, k, 3), `steps` (int64,
     -1 where undecided) and the final `distance`, all of prediction kind `kind`.
@@ -768,7 +757,6 @@ class CaseResult:
     label: str
     tol: float
     max_iter: int
-    _: KW_ONLY
     kind: str
     x0: np.ndarray
     predicted: np.ndarray
@@ -814,8 +802,7 @@ class CaseResult:
         return self.label, self.tol, self.max_iter, self.verdicts
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     op_id: int
     a: float
     seeds: int

@@ -16,14 +16,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, eq
 from typing import Mapping, Optional, Sequence
 
 from . import simplex
 from .permutations import Permutation
-from .rules import ZERO_TOL, json_floats, read_json, require_count, require_tol
+from .rules import ZERO_TOL, Frozen, json_floats, read_json, require_count, require_tol
 
 
 class HeredityTensor:
@@ -168,8 +167,7 @@ def apply(T: HeredityTensor, x: simplex.SimplexPoint) -> simplex.SimplexPoint:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One broken constraint: kind, offending 1-based indices, magnitude."""
 
     kind: str  # "non_finite" | "negative" | "asymmetric" | "row_sum"
@@ -187,8 +185,7 @@ class Violation:
         return f"row {self.where} sums to {self.value}, not 1"
 
 
-@dataclass(frozen=True)
-class TensorValidation:
+class TensorValidation(Frozen):
     violations: tuple[Violation, ...]
 
     @property
@@ -249,8 +246,7 @@ def is_volterra(T: HeredityTensor, tol: float = ZERO_TOL) -> bool:
     return ell_volterra_structure(T, tol).ell == T.m
 
 
-@dataclass(frozen=True)
-class VolterraCoefficients:
+class VolterraCoefficients(Frozen):
     """Skew-symmetric interaction matrix of a Volterra operator.
 
     Off-diagonal entries are a[k, i] = 2 P_{ik,k} - 1 (1-based indices
@@ -277,8 +273,7 @@ def volterra_coefficients(T: HeredityTensor) -> VolterraCoefficients:
     return VolterraCoefficients(T.m, a)
 
 
-@dataclass(frozen=True)
-class EllVolterraStructure:
+class EllVolterraStructure(Frozen):
     """Which coordinates satisfy the Volterra condition, with witnesses.
 
     volterra_indices: 1-based coordinates k with P[i,j,k] = 0 for k not in

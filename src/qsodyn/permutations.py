@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from .rules import require_count
+from .rules import Frozen, require_count
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {1..m}, stored as its image tuple (p(1), ..., p(m))."""
 
     image: tuple[int, ...]

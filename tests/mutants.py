@@ -132,6 +132,14 @@ MUTANTS = (
     Mutant("a case's columns are read-only", "src/qsodyn/dynamics.py",
            "            column.flags.writeable = False\n", "",
            ("tests/test_dynamics.py::TestCaseColumns",), "killed"),
+    Mutant("records refuse assignment", "src/qsodyn/rules.py",
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)",
+           ("tests/test_records.py",), "killed"),
+    Mutant("records refuse a missing field", "src/qsodyn/rules.py",
+           '''            if name not in kwargs and name not in cls.__dict__:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+''', "", ("tests/test_records.py",), "killed"),
 )
 
 

@@ -1,4 +1,5 @@
-"""Which commands load numpy, checked in fresh interpreters.
+"""Which commands load numpy, and that the structure path loads neither
+`dataclasses` nor `inspect`, checked in fresh interpreters.
 
 `simplex` and `dynamics` are lazy modules: `import qsodyn` registers them in
 sys.modules without running them. The structure commands must finish without
@@ -36,13 +37,16 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("argv", [
+STRUCTURE_COMMANDS = [
     ("catalog", "--a", "0.3"),
     ("classify", "--a", "0.3"),
     ("classify", "--a", "0.3", "--strict"),
     ("tensor", "--op", "13", "--a", "0.3", "--out", "{path}"),
     ("tensor", "--tensor", "{path}"),
-], ids=lambda argv: " ".join(argv[:4]))
+]
+
+
+@pytest.mark.parametrize("argv", STRUCTURE_COMMANDS, ids=lambda argv: " ".join(argv[:4]))
 def test_structure_commands_leave_numpy_unloaded(argv, tmp_path):
     path = tmp_path / "tensor.json"
     if "--tensor" in argv:
@@ -50,6 +54,41 @@ def test_structure_commands_leave_numpy_unloaded(argv, tmp_path):
         path.write_text(operator_tensor(13, 0.3).to_json())
     result = _child(_MAIN, *(arg.format(path=path) for arg in argv))
     assert result == {"code": 0, "numpy": False}
+
+
+_SLOW_IMPORTS = """
+import contextlib, io, json, sys
+from qsodyn import cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": [m for m in ("dataclasses", "inspect") if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("argv", [()] + STRUCTURE_COMMANDS,
+                         ids=lambda argv: " ".join(argv[:4]) or "import qsodyn.cli")
+def test_structure_path_leaves_dataclasses_and_inspect_unloaded(argv, tmp_path):
+    # Records derive from rules.Frozen: `import dataclasses` loads `inspect`, and each
+    # dataclass compiles its generated methods, which every process start would pay.
+    path = tmp_path / "tensor.json"
+    if "--tensor" in argv:
+        from qsodyn.catalog import operator_tensor
+        path.write_text(operator_tensor(13, 0.3).to_json())
+    result = _child(_SLOW_IMPORTS, *(arg.format(path=path) for arg in argv))
+    assert result == {"code": 0, "loaded": []}
+
+
+def test_no_qsodyn_class_is_a_dataclass():
+    import importlib
+    modules = [importlib.import_module(f"qsodyn.{name}") for name in (
+        "permutations", "operators", "catalog", "simplex", "dynamics", "jsonio", "rules", "cli")]
+    classes = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__}
+    assert [c.__qualname__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
+    from qsodyn.rules import Frozen
+    assert len({c for c in classes if issubclass(c, Frozen) and c is not Frozen}) == 21
 
 
 def test_simulate_loads_numpy():
